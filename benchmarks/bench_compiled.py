@@ -1,18 +1,9 @@
-"""Compiled array-backed KB core vs the dict substrate (PR 4, BENCH_pr4.json).
+"""Snapshot build + restore of the compiled KB core (BENCH_pr4.json).
 
-Three gated scenarios, all on the ~52k-edge clustered workload KB that the
-scale-out benchmark (PR 3) introduced, with both backends measured fresh in
-the same process and the outputs asserted byte-identical before any timing
-is trusted:
+One gated scenario on the ~52k-edge clustered workload KB that the
+scale-out benchmark (PR 3) introduced, with the replicas asserted to answer
+the same read API before any timing is trusted:
 
-* **fig7 enumeration buckets** — the Figure 7 experiment shape (entity pairs
-  bucketed by connectedness, full ``enumerate_explanations``) at workload
-  scale.  The ``high`` bucket is the gated scenario: compiled over dict must
-  clear ``REX_BENCH_COMPILED_FLOOR`` (the ``make bench-compiled-check`` gate
-  sets 2.0).  ``low``/``medium`` are recorded ungated for the figure shape.
-* **fig11 global distributional sweep** — top-10 by sampled global position
-  (no pruning: the pure batched-sweep scenario) for a medium-connectedness
-  pair; same floor.  The pruned variant is recorded ungated.
 * **snapshot build + restore** — shipping a worker replica: the format-1
   entity/edge tuple replay (rebuilt edge-by-edge through ``add_edge``, the
   PR 3 baseline, reproduced locally below) vs payload format 2 (``tobytes``
@@ -22,16 +13,18 @@ is trusted:
   serving flow it is the engine's per-version cache, already paid for by the
   request path, so snapshotting bills only the buffer copies.
 
+The fig7 enumeration and fig11 global-sweep rows that ``BENCH_pr4.json``
+also records timed the dict backend against the compiled one.  Every read
+kernel now runs on the compiled view, so those rows are no longer produced;
+the paper-figure benchmarks (``bench_fig7_enumeration.py``,
+``bench_fig11_distributional.py``) time the same work.
+
 Environment knobs:
 
-* ``REX_BENCH_COMPILED_FLOOR`` — when > 0, assert the fig7-high and fig11
-  global-sweep speedups meet this floor (default 0 = record only).
-* ``REX_BENCH_SNAPSHOT_FLOOR`` — same for the snapshot scenario (default 0).
+* ``REX_BENCH_SNAPSHOT_FLOOR`` — when > 0, assert the snapshot speedup meets
+  this floor (default 0 = record only).
 * ``REX_BENCH_COMPILED_COMMUNITIES`` — KB scale (default 250 communities of
   40 ≈ 52k edges; CI smoke can shrink it).
-* ``REX_BENCH_COMPILED_PAIRS`` — pairs per connectedness bucket (default 4).
-* ``REX_BENCH_GLOBAL_SAMPLES`` — sampled start entities of the global
-  distribution (default 100, the paper's number).
 """
 
 from __future__ import annotations
@@ -42,24 +35,17 @@ import time
 
 import pytest
 
-from repro.enumeration.framework import enumerate_explanations
-from repro.evaluation.pairs import sample_pairs_by_connectedness
 from repro.kb.compiled import CompiledKB
 from repro.kb.graph import KnowledgeBase
 from repro.kb.schema import EntityType, RelationType, Schema
 from repro.parallel.snapshot import kb_from_payload, kb_to_payload
-from repro.ranking.distributional_pruning import rank_by_global_position
 from repro.workloads import clustered_kb
 
 GROUP = "compiled-core"
-SIZE_LIMIT = 5
 ROUNDS = 3
 
-COMPILED_FLOOR = float(os.environ.get("REX_BENCH_COMPILED_FLOOR", "0"))
 SNAPSHOT_FLOOR = float(os.environ.get("REX_BENCH_SNAPSHOT_FLOOR", "0"))
 COMMUNITIES = int(os.environ.get("REX_BENCH_COMPILED_COMMUNITIES", "250"))
-PAIRS_PER_BUCKET = int(os.environ.get("REX_BENCH_COMPILED_PAIRS", "4"))
-GLOBAL_SAMPLES = int(os.environ.get("REX_BENCH_GLOBAL_SAMPLES", "100"))
 WORKLOAD_SEED = int(os.environ.get("REX_BENCH_SEED", "7")) + 4
 
 
@@ -80,28 +66,6 @@ def compiled_kb(workload_kb) -> CompiledKB:
     return CompiledKB.compile(workload_kb)
 
 
-@pytest.fixture(scope="module")
-def bucketed_pairs(workload_kb):
-    """Figure 7 style connectedness buckets sampled from the workload KB."""
-    buckets = sample_pairs_by_connectedness(
-        workload_kb,
-        pairs_per_bucket=PAIRS_PER_BUCKET,
-        length_limit=4,
-        seed=WORKLOAD_SEED,
-        entity_type="node",
-    )
-    for name, pairs in buckets.items():
-        assert pairs, f"no pairs sampled for the {name} bucket"
-    return buckets
-
-
-def _render_explanations(explanations) -> list:
-    return sorted(
-        (explanation.pattern.canonical_key, tuple(i.items() for i in explanation.instances))
-        for explanation in explanations
-    )
-
-
 def _best_of(callable_, rounds: int = ROUNDS) -> tuple[float, object]:
     best = float("inf")
     result = None
@@ -110,128 +74,6 @@ def _best_of(callable_, rounds: int = ROUNDS) -> tuple[float, object]:
         result = callable_()
         best = min(best, time.perf_counter() - started)
     return best, result
-
-
-# ---------------------------------------------------------------------------
-# fig7: enumeration buckets
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("bucket", ["low", "medium", "high"])
-def test_fig7_enumeration_compiled_vs_dict(
-    benchmark, workload_kb, compiled_kb, bucketed_pairs, bucket
-):
-    """Full enumeration per bucket on both backends; ``high`` is gated."""
-    pairs = bucketed_pairs[bucket]
-
-    def run(kb):
-        return [
-            enumerate_explanations(kb, pair.v_start, pair.v_end, size_limit=SIZE_LIMIT)
-            for pair in pairs
-        ]
-
-    # Byte-identity first: same explanations (patterns and instance sets).
-    for expected, actual in zip(run(workload_kb), run(compiled_kb)):
-        assert _render_explanations(actual.explanations) == _render_explanations(
-            expected.explanations
-        )
-
-    dict_s, _ = _best_of(lambda: run(workload_kb))
-    compiled_results = benchmark.pedantic(
-        lambda: run(compiled_kb), rounds=ROUNDS, iterations=1
-    )
-    compiled_s = benchmark.stats.stats.min
-    speedup = dict_s / compiled_s
-
-    benchmark.group = f"{GROUP}-fig7-{bucket}"
-    benchmark.extra_info.update(
-        {
-            "scenario": f"fig7-{bucket}",
-            "pairs": len(pairs),
-            "size_limit": SIZE_LIMIT,
-            "explanations": sum(r.num_explanations for r in compiled_results),
-            "dict_s": round(dict_s, 6),
-            "compiled_s": round(compiled_s, 6),
-            "speedup": round(speedup, 3),
-            "gated": bucket == "high",
-            "floor": COMPILED_FLOOR if bucket == "high" else 0,
-        }
-    )
-    if bucket == "high" and COMPILED_FLOOR > 0:
-        assert speedup >= COMPILED_FLOOR, (
-            f"compiled fig7-high enumeration speedup {speedup:.2f}x is below the "
-            f"{COMPILED_FLOOR}x floor (dict {dict_s:.3f}s vs compiled {compiled_s:.3f}s)"
-        )
-
-
-# ---------------------------------------------------------------------------
-# fig11: global distributional sweep
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def fig11_workload(workload_kb, bucketed_pairs):
-    """A medium-connectedness pair with its pre-enumerated explanations."""
-    pair = bucketed_pairs["medium"][0]
-    explanations = enumerate_explanations(
-        workload_kb, pair.v_start, pair.v_end, size_limit=SIZE_LIMIT
-    ).explanations
-    return pair, explanations
-
-
-@pytest.mark.parametrize("prune", [False, True], ids=["global", "global+pruning"])
-def test_fig11_global_sweep_compiled_vs_dict(
-    benchmark, workload_kb, compiled_kb, fig11_workload, prune
-):
-    """Sampled global-position ranking; the unpruned sweep is gated."""
-    pair, explanations = fig11_workload
-
-    def run(kb):
-        return rank_by_global_position(
-            kb,
-            explanations,
-            pair.v_start,
-            pair.v_end,
-            k=10,
-            prune=prune,
-            num_samples=GLOBAL_SAMPLES,
-        )
-
-    expected = run(workload_kb)
-    actual = run(compiled_kb)
-    assert [
-        (entry.explanation.pattern.canonical_key, entry.value) for entry in actual.ranked
-    ] == [
-        (entry.explanation.pattern.canonical_key, entry.value)
-        for entry in expected.ranked
-    ]
-    assert actual.stats == expected.stats
-
-    dict_s, _ = _best_of(lambda: run(workload_kb))
-    benchmark.pedantic(lambda: run(compiled_kb), rounds=ROUNDS, iterations=1)
-    compiled_s = benchmark.stats.stats.min
-    speedup = dict_s / compiled_s
-
-    gated = not prune
-    benchmark.group = f"{GROUP}-fig11"
-    benchmark.extra_info.update(
-        {
-            "scenario": "fig11-global" + ("+pruning" if prune else ""),
-            "global_samples": GLOBAL_SAMPLES,
-            "explanations": len(explanations),
-            "bindings_enumerated": actual.stats["bindings_enumerated"],
-            "dict_s": round(dict_s, 6),
-            "compiled_s": round(compiled_s, 6),
-            "speedup": round(speedup, 3),
-            "gated": gated,
-            "floor": COMPILED_FLOOR if gated else 0,
-        }
-    )
-    if gated and COMPILED_FLOOR > 0:
-        assert speedup >= COMPILED_FLOOR, (
-            f"compiled fig11 global-sweep speedup {speedup:.2f}x is below the "
-            f"{COMPILED_FLOOR}x floor (dict {dict_s:.3f}s vs compiled {compiled_s:.3f}s)"
-        )
 
 
 # ---------------------------------------------------------------------------

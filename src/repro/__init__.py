@@ -18,7 +18,8 @@ Quick start::
 The main layers are:
 
 * :mod:`repro.kb` — the knowledge-base substrate (labelled graph, schema,
-  relational view used by the SQL-style distributional computation);
+  the compiled CSR view every read kernel runs on, and the conjunctive
+  evaluation behind the SQL-style distributional computation);
 * :mod:`repro.core` — patterns, instances, explanations and their structural
   properties (minimality, covering path sets);
 * :mod:`repro.enumeration` — NaiveEnum, path enumeration and path union;

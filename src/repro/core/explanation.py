@@ -143,11 +143,11 @@ class Explanation:
 
     # -- dunder ------------------------------------------------------------
 
-    #: ``__dict__`` keys never pickled: per-process merge-kernel caches (the
-    #: fast-merge info embeds a process-local pattern token) and the bulky
+    #: ``__dict__`` keys never pickled: the per-process merge-kernel cache
+    #: (its info embeds a process-local pattern token) and the bulky
     #: assignment-set caches — all rebuilt on demand, and shipping them would
     #: inflate every executor result payload.
-    _TRANSIENT_CACHES = ("_merge_info", "_fast_merge_info", "_assignment_cache")
+    _TRANSIENT_CACHES = ("_merge_info", "_assignment_cache")
 
     def __getstate__(self):
         extras = {

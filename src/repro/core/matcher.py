@@ -14,7 +14,7 @@ covering path patterns — but the matcher remains essential:
 The matcher compiles each pattern into an *evaluation plan* (cached across
 calls): a variable order plus, per variable, the incident edges whose other
 endpoint is bound earlier in the order.  Candidate generation then reduces to
-intersecting the knowledge base's ``(label, orientation)`` adjacency indexes,
+intersecting the compiled view's ``(label, orientation)`` CSR plane rows,
 and a per-call memo keyed on the bound frontier lets sibling branches of the
 backtracking tree share candidate sets instead of recomputing them.
 """
@@ -27,7 +27,7 @@ from typing import Iterator
 
 from repro.core.instance import ExplanationInstance
 from repro.core.pattern import END, START, ExplanationPattern
-from repro.kb.compiled import ORIENT_CODE, CompiledKB
+from repro.kb.compiled import ORIENT_CODE, compile_kb
 from repro.kb.graph import KnowledgeBase
 from repro.resilience.deadline import current_deadline
 
@@ -125,119 +125,41 @@ def iter_matches(
 ) -> Iterator[ExplanationInstance]:
     """Yield instances of ``pattern`` for the target pair, lazily.
 
+    The plan runs on the compiled view (:func:`~repro.kb.compiled.compile_kb`)
+    with integer handles: candidate sets are intersections of CSR plane row
+    *sets*, target-edge checks probe the packed membership hash, and the
+    enumeration order is ``sorted(entity ids)`` per variable, reproduced by
+    sorting candidate handles by the compiled sort-rank table.  Instances are
+    decoded to entity ids only at the yield boundary.
+
     Args:
-        kb: the knowledge base.
+        kb: the knowledge base (plain or compiled).
         pattern: the explanation pattern to evaluate.
         v_start: entity bound to the start variable.
         v_end: entity bound to the end variable.
         limit: stop after this many instances (``None`` = exhaustive).
     """
-    if not kb.has_entity(v_start) or not kb.has_entity(v_end):
-        return
-    if isinstance(kb, CompiledKB):
-        yield from _iter_matches_compiled(kb, pattern, v_start, v_end, limit)
+    ckb = compile_kb(kb)
+    if not ckb.has_entity(v_start) or not ckb.has_entity(v_end):
         return
     plan = _pattern_plan(pattern)
-    targets = {START: v_start, END: v_end}
-    for source, target, label, direction in plan.target_checks:
-        if not kb.has_edge(targets[source], targets[target], label, direction):
-            return
-
-    binding: dict[str, str] = {START: v_start, END: v_end}
-    steps = plan.steps
-    produced = 0
-    deadline = current_deadline()
-    # Memo shared across sibling branches: raw candidate sets depend only on
-    # the step and the entities bound to its anchor variables — not on the
-    # rest of the frontier — so branches differing elsewhere reuse them.
-    memo: dict[tuple, frozenset[str]] = {}
-
-    def raw_candidates(index: int) -> frozenset[str] | None:
-        step = steps[index]
-        if not step.anchors:
-            return None
-        key = (index,) + tuple(binding[anchor] for anchor, _, _ in step.anchors)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        candidates: set[str] | None = None
-        for anchor, label, orientation in step.anchors:
-            reachable = kb.neighbor_ids(binding[anchor], label, orientation)
-            if candidates is None:
-                candidates = set(reachable)
-            else:
-                candidates.intersection_update(reachable)
-            if not candidates:
-                break
-        result = frozenset(candidates) if candidates else frozenset()
-        memo[key] = result
-        return result
-
-    def backtrack(index: int) -> Iterator[ExplanationInstance]:
-        nonlocal produced
-        if limit is not None and produced >= limit:
-            return
-        if deadline is not None:
-            deadline.tick()
-        if index == len(steps):
-            produced += 1
-            yield ExplanationInstance(binding)
-            return
-        raw = raw_candidates(index)
-        if raw is None:
-            # No incident edge touches a bound variable (disconnected pattern):
-            # fall back to all entities, as the naive matcher did.
-            candidates = set(kb.entities) - {v_start, v_end} - set(binding.values())
-        else:
-            # Non-target variables must not map onto the target entities, and
-            # the mapping must be injective (instances are KB subgraphs).
-            candidates = set(raw)
-            candidates.discard(v_start)
-            candidates.discard(v_end)
-            candidates.difference_update(binding.values())
-        variable = steps[index].variable
-        for candidate in sorted(candidates):
-            binding[variable] = candidate
-            yield from backtrack(index + 1)
-            del binding[variable]
-            if limit is not None and produced >= limit:
-                return
-
-    yield from backtrack(0)
-
-
-def _iter_matches_compiled(
-    ckb: CompiledKB,
-    pattern: ExplanationPattern,
-    v_start: str,
-    v_end: str,
-    limit: int | None,
-) -> Iterator[ExplanationInstance]:
-    """Integer-handle frontier expansion of the pattern plan.
-
-    Candidate sets are intersections of CSR plane row *sets* (frozensets of
-    handles), target-edge checks probe the packed membership hash, and the
-    deterministic enumeration order is reproduced by sorting candidate
-    handles by the compiled sort-rank table — the rank of a handle equals
-    the rank of its entity id in ``sorted(...)``, so the yielded instances
-    (decoded at the yield boundary) match the dict backend's exactly.
-    """
-    plan = _pattern_plan(pattern)
-    handles = ckb.handles
-    names = ckb.names
-    start_h = handles[v_start]
-    end_h = handles[v_end]
     targets = {START: v_start, END: v_end}
     for source, target, label, direction in plan.target_checks:
         if not ckb.has_edge(targets[source], targets[target], label, direction):
             return
 
+    names = ckb.names
+    start_h = ckb.handles[v_start]
+    end_h = ckb.handles[v_end]
     label_code = ckb.label_code
     sort_rank = ckb.sort_rank
     binding: dict[str, int] = {START: start_h, END: end_h}
     steps = plan.steps
     produced = 0
     deadline = current_deadline()
+    # Memo shared across sibling branches: raw candidate sets depend only on
+    # the step and the entities bound to its anchor variables — not on the
+    # rest of the frontier — so branches differing elsewhere reuse them.
     memo: dict[tuple, frozenset[int]] = {}
 
     def raw_candidates(index: int) -> frozenset[int] | None:
@@ -282,16 +204,15 @@ def _iter_matches_compiled(
         raw = raw_candidates(index)
         if raw is None:
             # No incident edge touches a bound variable (disconnected pattern):
-            # fall back to all entities, as the dict matcher does.
+            # fall back to all entities.
             candidates = set(range(len(names)))
-            candidates.discard(start_h)
-            candidates.discard(end_h)
-            candidates.difference_update(binding.values())
         else:
             candidates = set(raw)
-            candidates.discard(start_h)
-            candidates.discard(end_h)
-            candidates.difference_update(binding.values())
+        # Non-target variables must not map onto the target entities, and
+        # the mapping must be injective (instances are KB subgraphs).
+        candidates.discard(start_h)
+        candidates.discard(end_h)
+        candidates.difference_update(binding.values())
         variable = steps[index].variable
         for candidate in sorted(candidates, key=sort_rank.__getitem__):
             binding[variable] = candidate

@@ -17,7 +17,6 @@ from repro.core.explanation import Explanation
 from repro.enumeration.path_enum import PATH_ENUM_ALGORITHMS, PathEnumResult
 from repro.enumeration.path_union import PATH_UNION_ALGORITHMS, MergeStats
 from repro.errors import EnumerationError
-from repro.kb.compiled import CompiledKB
 from repro.kb.graph import KnowledgeBase
 from repro.obs.trace import span
 
@@ -108,12 +107,7 @@ def enumerate_explanations(
         path_result: PathEnumResult = path_enum(kb, v_start, v_end, size_limit - 1)
     union_stats = MergeStats()
     with span("union_merge"):
-        explanations = path_union(
-            path_result.explanations,
-            size_limit,
-            union_stats,
-            compiled=isinstance(kb, CompiledKB),
-        )
+        explanations = path_union(path_result.explanations, size_limit, union_stats)
     return EnumerationResult(
         explanations=explanations,
         v_start=v_start,

@@ -15,7 +15,9 @@ simple start-to-end paths.  The paper adapts keyword-search algorithms:
 
 All three return exactly the same set of path explanations (patterns grouped
 with their instances); they differ in how much work they perform, which the
-``stats`` counters expose for the Figure 7 benchmark and the ablations.
+``stats`` counters expose for the Figure 7 benchmark and the ablations.  All
+three search the compiled view (:func:`~repro.kb.compiled.compile_kb`) on
+integer handles and decode entity ids only for the paths they emit.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from repro.core.explanation import Explanation
 from repro.core.instance import ExplanationInstance
 from repro.core.pattern import END, START, ExplanationPattern, PatternEdge, fresh_variable
 from repro.errors import EnumerationError
-from repro.kb.compiled import CompiledKB
+from repro.kb.compiled import CompiledKB, compile_kb
+from repro.kb.graph import KnowledgeBase
 from repro.resilience.deadline import current_deadline
-from repro.kb.graph import KnowledgeBase, NeighborEntry
-from repro.kb.schema import Schema
 
 __all__ = [
     "PathStep",
@@ -106,59 +107,22 @@ class PathEnumResult:
         return sum(explanation.num_instances for explanation in self.explanations)
 
 
-def _step_from_entry(entry: NeighborEntry) -> PathStep:
-    """Translate a knowledge-base adjacency entry into a traversal step."""
-    if entry.orientation == "undirected":
-        return PathStep(entry.neighbor, entry.label, directed=False, forward=True)
-    return PathStep(
-        entry.neighbor,
-        entry.label,
-        directed=True,
-        forward=entry.orientation == "out",
-    )
+#: CompiledKB -> {handle: ((neighbor_handle, PathStep), ...)}.  All three
+#: path enumeration algorithms revisit the same nodes many times
+#: (exponentially so for the naive forward search).  Neighbors stay integer
+#: handles (cheap membership tests against the partial path's node tuple)
+#: while the frozen :class:`PathStep` is pre-decoded once per adjacency
+#: entry, so materialising a found path is a tuple copy.  A compiled view is
+#: immutable, so no version check is needed; entries die with the view.
+_STEP_CACHES: "WeakKeyDictionary[CompiledKB, dict]" = WeakKeyDictionary()
 
 
-#: kb -> (kb.version, {entity: ((neighbor, PathStep), ...)}).  All three path
-#: enumeration algorithms revisit the same nodes many times (exponentially so
-#: for the naive forward search); translating a node's adjacency entries into
-#: :class:`PathStep` objects once and reusing the frozen steps removes the
-#: per-expansion allocation from the hot loop.  The cache is invalidated as a
-#: whole whenever the knowledge base's mutation counter moves.
-_STEP_CACHES: "WeakKeyDictionary[KnowledgeBase, tuple]" = WeakKeyDictionary()
-
-
-def _steps_of(kb: KnowledgeBase, entity: str) -> tuple[tuple[str, PathStep], ...]:
-    """Cached ``(neighbor, step)`` pairs for every adjacency entry of ``entity``."""
-    cached = _STEP_CACHES.get(kb)
-    if cached is None or cached[0] != kb.version:
-        cached = (kb.version, {})
-        _STEP_CACHES[kb] = cached
-    per_entity = cached[1]
-    steps = per_entity.get(entity)
-    if steps is None:
-        steps = tuple(
-            (entry.neighbor, _step_from_entry(entry))
-            for entry in kb.iter_neighbors(entity)
-        )
-        per_entity[entity] = steps
-    return steps
-
-
-#: CompiledKB -> {handle: ((neighbor_handle, PathStep), ...)}.  The compiled
-#: twin of :data:`_STEP_CACHES`: neighbors stay integer handles (cheap
-#: membership tests against the partial path's node tuple) while the frozen
-#: :class:`PathStep` is pre-decoded once per adjacency entry, so materialising
-#: a found path is a tuple copy.  A compiled view is immutable, so no version
-#: check is needed; entries die with the view.
-_COMPILED_STEP_CACHES: "WeakKeyDictionary[CompiledKB, dict]" = WeakKeyDictionary()
-
-
-def _compiled_steps_of(ckb: CompiledKB, h: int) -> tuple[tuple[int, PathStep], ...]:
-    """Cached ``(neighbor_handle, step)`` pairs of node ``h`` (compiled view)."""
-    per_entity = _COMPILED_STEP_CACHES.get(ckb)
+def _steps_of(ckb: CompiledKB, h: int) -> tuple[tuple[int, PathStep], ...]:
+    """Cached ``(neighbor_handle, step)`` pairs of node ``h``."""
+    per_entity = _STEP_CACHES.get(ckb)
     if per_entity is None:
         per_entity = {}
-        _COMPILED_STEP_CACHES[ckb] = per_entity
+        _STEP_CACHES[ckb] = per_entity
     steps = per_entity.get(h)
     if steps is None:
         names = ckb.names
@@ -252,52 +216,13 @@ def path_enum_naive(
 
     Every length-limited simple path leaving ``v_start`` is expanded and the
     ones that reach ``v_end`` are kept.  This is the most naive strategy and
-    exists as the lower baseline of Figure 7.
-    """
-    _validate(kb, v_start, v_end, length_limit)
-    if isinstance(kb, CompiledKB):
-        return _path_enum_naive_compiled(kb, v_start, v_end, length_limit)
-    paths: list[PathInstance] = []
-    expansions = 0
-    deadline = current_deadline()
-
-    def extend(current: str, visited: set[str], steps: list[PathStep]) -> None:
-        nonlocal expansions
-        if len(steps) >= length_limit:
-            return
-        if deadline is not None:
-            deadline.tick()
-        for neighbor, step in _steps_of(kb, current):
-            expansions += 1
-            if neighbor in visited:
-                continue
-            steps.append(step)
-            if neighbor == v_end:
-                paths.append(PathInstance(v_start, tuple(steps)))
-            elif neighbor != v_start:
-                visited.add(neighbor)
-                extend(neighbor, visited, steps)
-                visited.remove(neighbor)
-            steps.pop()
-
-    extend(v_start, {v_start, v_end} - {v_end}, [])
-    explanations = group_paths_into_explanations(paths)
-    return PathEnumResult(
-        explanations,
-        stats={"expansions": expansions, "paths": len(paths)},
-    )
-
-
-def _path_enum_naive_compiled(
-    ckb: CompiledKB, v_start: str, v_end: str, length_limit: int
-) -> PathEnumResult:
-    """Integer-handle twin of :func:`path_enum_naive`.
-
-    The exhaustive forward search tracks visited nodes and the frontier as
-    handles; the pre-decoded :class:`PathStep` objects of the compiled step
+    exists as the lower baseline of Figure 7.  The search tracks visited
+    nodes as handles; the pre-decoded :class:`PathStep` objects of the step
     cache are only assembled into a :class:`PathInstance` when a path
     actually reaches the end entity.
     """
+    _validate(kb, v_start, v_end, length_limit)
+    ckb = compile_kb(kb)
     start_h = ckb.handles[v_start]
     end_h = ckb.handles[v_end]
     paths: list[PathInstance] = []
@@ -310,7 +235,7 @@ def _path_enum_naive_compiled(
             return
         if deadline is not None:
             deadline.tick()
-        for neighbor, step in _compiled_steps_of(ckb, current):
+        for neighbor, step in _steps_of(ckb, current):
             expansions += 1
             if neighbor in visited:
                 continue
@@ -339,62 +264,29 @@ def _path_enum_naive_compiled(
 class _PartialPath:
     """A simple path grown from one of the two target entities.
 
+    ``nodes`` are entity handles (membership tests in the expansion loop are
+    integer comparisons); ``steps`` are the shared pre-decoded
+    :class:`PathStep` objects, so joining two halves never re-decodes labels.
     A plain ``__slots__`` class rather than a dataclass: the bidirectional
-    searches allocate one per expansion, making construction cost part of the
-    enumeration hot loop.
+    searches allocate one per expansion.
     """
 
     __slots__ = ("origin", "nodes", "steps")
 
     def __init__(
-        self, origin: str, nodes: tuple[str, ...], steps: tuple[PathStep, ...]
+        self, origin: str, nodes: tuple[int, ...], steps: tuple[PathStep, ...]
     ) -> None:
         self.origin = origin  # "start" or "end"
         self.nodes = nodes
         self.steps = steps
 
     @property
-    def terminal(self) -> str:
-        return self.nodes[-1]
-
-    @property
     def length(self) -> int:
         return len(self.steps)
 
 
-def _join(forward: _PartialPath, backward: _PartialPath) -> PathInstance | None:
-    """Join a start-side and an end-side partial path meeting at a node.
-
-    Returns ``None`` when the two halves overlap anywhere other than the
-    meeting node (the joined path would not be simple).
-    """
-    if forward.terminal != backward.terminal:
-        return None
-    if set(forward.nodes) & set(backward.nodes) != {forward.terminal}:
-        return None
-    steps = list(forward.steps)
-    # Reverse the end-side path: its steps go v_end -> meeting node, we need
-    # meeting node -> v_end with flipped traversal direction.
-    nodes = backward.nodes
-    for index in range(len(backward.steps) - 1, -1, -1):
-        step = backward.steps[index]
-        previous = nodes[index]
-        steps.append(
-            PathStep(
-                entity=previous,
-                label=step.label,
-                directed=step.directed,
-                forward=(not step.forward) if step.directed else True,
-            )
-        )
-    return PathInstance(forward.nodes[0], tuple(steps))
-
-
 def _expand_partial(
-    kb: KnowledgeBase,
-    partial: _PartialPath,
-    v_start: str,
-    v_end: str,
+    ckb: CompiledKB, partial: _PartialPath, start_h: int, end_h: int
 ) -> list[_PartialPath]:
     """All one-step extensions of a partial path that keep it simple.
 
@@ -402,28 +294,59 @@ def _expand_partial(
     target terminates the path there (it becomes a full path when joined with
     the zero-length partial path of the other side).
     """
-    current = partial.terminal
-    opposite = v_end if partial.origin == "start" else v_start
-    own_target = v_start if partial.origin == "start" else v_end
+    current = partial.nodes[-1]
+    opposite = end_h if partial.origin == "start" else start_h
+    own_target = start_h if partial.origin == "start" else end_h
     if current == opposite:
         return []
     extensions = []
-    for neighbor, step in _steps_of(kb, current):
-        if neighbor in partial.nodes or neighbor == own_target:
+    nodes = partial.nodes
+    steps = partial.steps
+    origin = partial.origin
+    for neighbor, step in _steps_of(ckb, current):
+        if neighbor == own_target or neighbor in nodes:
             continue
         extensions.append(
-            _PartialPath(
-                origin=partial.origin,
-                nodes=partial.nodes + (neighbor,),
-                steps=partial.steps + (step,),
-            )
+            _PartialPath(origin, nodes + (neighbor,), steps + (step,))
         )
     return extensions
 
 
+def _join(
+    names: list[str], forward: _PartialPath, backward: _PartialPath
+) -> PathInstance | None:
+    """Join a start-side and an end-side partial path meeting at a node.
+
+    Returns ``None`` when the two halves overlap anywhere other than the
+    meeting node (the joined path would not be simple).  Only the joined
+    path is decoded to entity ids.
+    """
+    terminal = forward.nodes[-1]
+    if terminal != backward.nodes[-1]:
+        return None
+    if set(forward.nodes) & set(backward.nodes) != {terminal}:
+        return None
+    steps = list(forward.steps)
+    # Reverse the end-side path: its steps go v_end -> meeting node, we need
+    # meeting node -> v_end with flipped traversal direction.
+    nodes = backward.nodes
+    for index in range(len(backward.steps) - 1, -1, -1):
+        step = backward.steps[index]
+        steps.append(
+            PathStep(
+                entity=names[nodes[index]],
+                label=step.label,
+                directed=step.directed,
+                forward=(not step.forward) if step.directed else True,
+            )
+        )
+    return PathInstance(names[forward.nodes[0]], tuple(steps))
+
+
 def _collect_full_paths(
-    start_side: dict[str, list[_PartialPath]],
-    end_side: dict[str, list[_PartialPath]],
+    names: list[str],
+    start_side: dict[int, list[_PartialPath]],
+    end_side: dict[int, list[_PartialPath]],
     length_limit: int,
 ) -> list[PathInstance]:
     """Join all compatible partial-path pairs into full simple paths."""
@@ -440,7 +363,7 @@ def _collect_full_paths(
                     continue
                 if forward.length + backward.length == 0:
                     continue
-                joined = _join(forward, backward)
+                joined = _join(names, forward, backward)
                 if joined is None:
                     continue
                 signature = joined.signature()
@@ -451,116 +374,18 @@ def _collect_full_paths(
     return paths
 
 
-# -- compiled (integer-handle) twins of the bidirectional machinery ---------
-
-
-class _PartialPathH:
-    """A partial path over integer handles (compiled backend).
-
-    ``nodes`` are entity handles (membership tests in the expansion loop are
-    integer comparisons); ``steps`` are the shared pre-decoded
-    :class:`PathStep` objects, so joining two halves never re-decodes labels.
-    """
-
-    __slots__ = ("origin", "nodes", "steps")
-
-    def __init__(
-        self, origin: str, nodes: tuple[int, ...], steps: tuple[PathStep, ...]
-    ) -> None:
-        self.origin = origin
-        self.nodes = nodes
-        self.steps = steps
-
-    @property
-    def terminal(self) -> int:
-        return self.nodes[-1]
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
-
-def _expand_partial_compiled(
-    ckb: CompiledKB, partial: _PartialPathH, start_h: int, end_h: int
-) -> list[_PartialPathH]:
-    """Handle twin of :func:`_expand_partial` (same simplicity rules)."""
-    current = partial.nodes[-1]
-    opposite = end_h if partial.origin == "start" else start_h
-    own_target = start_h if partial.origin == "start" else end_h
-    if current == opposite:
-        return []
-    extensions = []
-    nodes = partial.nodes
-    steps = partial.steps
-    origin = partial.origin
-    for neighbor, step in _compiled_steps_of(ckb, current):
-        if neighbor == own_target or neighbor in nodes:
-            continue
-        extensions.append(
-            _PartialPathH(origin, nodes + (neighbor,), steps + (step,))
-        )
-    return extensions
-
-
-def _join_compiled(
-    names: list[str], forward: _PartialPathH, backward: _PartialPathH
-) -> PathInstance | None:
-    """Handle twin of :func:`_join`; decodes only the joined path."""
-    terminal = forward.nodes[-1]
-    if terminal != backward.nodes[-1]:
-        return None
-    if set(forward.nodes) & set(backward.nodes) != {terminal}:
-        return None
-    steps = list(forward.steps)
-    nodes = backward.nodes
-    for index in range(len(backward.steps) - 1, -1, -1):
-        step = backward.steps[index]
-        steps.append(
-            PathStep(
-                entity=names[nodes[index]],
-                label=step.label,
-                directed=step.directed,
-                forward=(not step.forward) if step.directed else True,
-            )
-        )
-    return PathInstance(names[forward.nodes[0]], tuple(steps))
-
-
-def _collect_full_paths_compiled(
-    names: list[str],
-    start_side: dict[int, list[_PartialPathH]],
-    end_side: dict[int, list[_PartialPathH]],
-    length_limit: int,
-) -> list[PathInstance]:
-    """Handle twin of :func:`_collect_full_paths`."""
-    seen: set[tuple] = set()
-    paths: list[PathInstance] = []
-    deadline = current_deadline()
-    for terminal, forwards in start_side.items():
-        backwards = end_side.get(terminal, [])
-        for forward in forwards:
-            if deadline is not None:
-                deadline.tick()
-            for backward in backwards:
-                if forward.length + backward.length > length_limit:
-                    continue
-                if forward.length + backward.length == 0:
-                    continue
-                joined = _join_compiled(names, forward, backward)
-                if joined is None:
-                    continue
-                signature = joined.signature()
-                if signature in seen:
-                    continue
-                seen.add(signature)
-                paths.append(joined)
-    return paths
-
-
-def _path_enum_basic_compiled(
-    ckb: CompiledKB, v_start: str, v_end: str, length_limit: int
+def path_enum_basic(
+    kb: KnowledgeBase, v_start: str, v_end: str, length_limit: int
 ) -> PathEnumResult:
-    """Integer-handle twin of :func:`path_enum_basic`."""
+    """BANKS-style bidirectional path enumeration (``PathEnumBasic``).
+
+    Partial paths are grown breadth-first (shortest first) from both targets:
+    the start side up to ``ceil(l / 2)`` hops and the end side up to
+    ``floor(l / 2)`` hops, after which every pair of partial paths meeting at
+    a common entity is joined into a full path.
+    """
+    _validate(kb, v_start, v_end, length_limit)
+    ckb = compile_kb(kb)
     start_h = ckb.handles[v_start]
     end_h = ckb.handles[v_end]
     forward_limit = math.ceil(length_limit / 2)
@@ -568,31 +393,29 @@ def _path_enum_basic_compiled(
     expansions = 0
     deadline = current_deadline()
 
-    start_side: dict[int, list[_PartialPathH]] = {}
-    end_side: dict[int, list[_PartialPathH]] = {}
+    start_side: dict[int, list[_PartialPath]] = {}
+    end_side: dict[int, list[_PartialPath]] = {}
 
     for origin, root, limit, store in (
         ("start", start_h, forward_limit, start_side),
         ("end", end_h, backward_limit, end_side),
     ):
-        frontier = [_PartialPathH(origin, (root,), ())]
+        frontier = [_PartialPath(origin, (root,), ())]
         store.setdefault(root, []).append(frontier[0])
         depth = 0
         while frontier and depth < limit:
-            next_frontier: list[_PartialPathH] = []
+            next_frontier: list[_PartialPath] = []
             for partial in frontier:
                 if deadline is not None:
                     deadline.tick()
-                for extension in _expand_partial_compiled(
-                    ckb, partial, start_h, end_h
-                ):
+                for extension in _expand_partial(ckb, partial, start_h, end_h):
                     expansions += 1
                     store.setdefault(extension.nodes[-1], []).append(extension)
                     next_frontier.append(extension)
             frontier = next_frontier
             depth += 1
 
-    paths = _collect_full_paths_compiled(ckb.names, start_side, end_side, length_limit)
+    paths = _collect_full_paths(ckb.names, start_side, end_side, length_limit)
     explanations = group_paths_into_explanations(paths)
     return PathEnumResult(
         explanations,
@@ -600,16 +423,22 @@ def _path_enum_basic_compiled(
     )
 
 
-def _path_enum_prioritized_compiled(
-    ckb: CompiledKB, v_start: str, v_end: str, length_limit: int
+def path_enum_prioritized(
+    kb: KnowledgeBase, v_start: str, v_end: str, length_limit: int
 ) -> PathEnumResult:
-    """Integer-handle twin of :func:`path_enum_prioritized`.
+    """BANKS2-style prioritized bidirectional enumeration (``PathEnumPrioritized``).
 
-    The activation bookkeeping (score tables, pending index, heap entries)
-    is keyed on handles; heap ordering is unchanged because the unique
-    insertion counter already breaks every tie before a node id would be
-    compared.
+    Expansion is driven by an activation score: each target entity starts with
+    activation ``1 / degree`` and expanding a node spreads its activation to
+    its neighbours divided by their degree.  High-degree hubs therefore
+    receive little activation and are expanded late, letting the cheaper side
+    of the search reach the meeting point first.  The produced path set is
+    identical to :func:`path_enum_basic`; only the amount and order of work
+    differs.  Heap ordering never compares node handles: the unique
+    insertion counter breaks every tie first.
     """
+    _validate(kb, v_start, v_end, length_limit)
+    ckb = compile_kb(kb)
     start_h = ckb.handles[v_start]
     end_h = ckb.handles[v_end]
     forward_limit = math.ceil(length_limit / 2)
@@ -619,11 +448,11 @@ def _path_enum_prioritized_compiled(
     degrees = ckb.degrees
     deadline = current_deadline()
 
-    start_side: dict[int, list[_PartialPathH]] = {
-        start_h: [_PartialPathH("start", (start_h,), ())]
+    start_side: dict[int, list[_PartialPath]] = {
+        start_h: [_PartialPath("start", (start_h,), ())]
     }
-    end_side: dict[int, list[_PartialPathH]] = {
-        end_h: [_PartialPathH("end", (end_h,), ())]
+    end_side: dict[int, list[_PartialPath]] = {
+        end_h: [_PartialPath("end", (end_h,), ())]
     }
     stores = {"start": start_side, "end": end_side}
 
@@ -631,7 +460,8 @@ def _path_enum_prioritized_compiled(
         "start": {start_h: 1.0 / max(degrees[start_h], 1)},
         "end": {end_h: 1.0 / max(degrees[end_h], 1)},
     }
-    pendings: dict[str, dict[int, list[_PartialPathH]]] = {
+    # Index of partial paths not yet expanded, per origin and node.
+    pendings: dict[str, dict[int, list[_PartialPath]]] = {
         "start": {start_h: [start_side[start_h][0]]},
         "end": {end_h: [end_side[end_h][0]]},
     }
@@ -659,12 +489,13 @@ def _path_enum_prioritized_compiled(
         for partial in waiting:
             if partial.length >= limit:
                 continue
-            for extension in _expand_partial_compiled(ckb, partial, start_h, end_h):
+            for extension in _expand_partial(ckb, partial, start_h, end_h):
                 expansions += 1
                 terminal = extension.nodes[-1]
                 store.setdefault(terminal, []).append(extension)
                 pending.setdefault(terminal, []).append(extension)
                 spread[terminal] = None
+        # Spread activation to the freshly reached nodes and (re-)enqueue them.
         for neighbor in spread:
             gained = score / max(degrees[neighbor], 1)
             total = activation.get(neighbor, 0.0) + gained
@@ -673,139 +504,7 @@ def _path_enum_prioritized_compiled(
             counter += 1
         activation[node] = 0.0
 
-    paths = _collect_full_paths_compiled(ckb.names, start_side, end_side, length_limit)
-    explanations = group_paths_into_explanations(paths)
-    return PathEnumResult(
-        explanations,
-        stats={"expansions": expansions, "paths": len(paths)},
-    )
-
-
-def path_enum_basic(
-    kb: KnowledgeBase, v_start: str, v_end: str, length_limit: int
-) -> PathEnumResult:
-    """BANKS-style bidirectional path enumeration (``PathEnumBasic``).
-
-    Partial paths are grown breadth-first (shortest first) from both targets:
-    the start side up to ``ceil(l / 2)`` hops and the end side up to
-    ``floor(l / 2)`` hops, after which every pair of partial paths meeting at
-    a common entity is joined into a full path.
-    """
-    _validate(kb, v_start, v_end, length_limit)
-    if isinstance(kb, CompiledKB):
-        return _path_enum_basic_compiled(kb, v_start, v_end, length_limit)
-    forward_limit = math.ceil(length_limit / 2)
-    backward_limit = length_limit // 2
-    expansions = 0
-    deadline = current_deadline()
-
-    start_side: dict[str, list[_PartialPath]] = {}
-    end_side: dict[str, list[_PartialPath]] = {}
-
-    for origin, root, limit, store in (
-        ("start", v_start, forward_limit, start_side),
-        ("end", v_end, backward_limit, end_side),
-    ):
-        frontier = [_PartialPath(origin, (root,), ())]
-        store.setdefault(root, []).append(frontier[0])
-        depth = 0
-        while frontier and depth < limit:
-            next_frontier: list[_PartialPath] = []
-            for partial in frontier:
-                if deadline is not None:
-                    deadline.tick()
-                for extension in _expand_partial(kb, partial, v_start, v_end):
-                    expansions += 1
-                    store.setdefault(extension.terminal, []).append(extension)
-                    next_frontier.append(extension)
-            frontier = next_frontier
-            depth += 1
-
-    paths = _collect_full_paths(start_side, end_side, length_limit)
-    explanations = group_paths_into_explanations(paths)
-    return PathEnumResult(
-        explanations,
-        stats={"expansions": expansions, "paths": len(paths)},
-    )
-
-
-def path_enum_prioritized(
-    kb: KnowledgeBase, v_start: str, v_end: str, length_limit: int
-) -> PathEnumResult:
-    """BANKS2-style prioritized bidirectional enumeration (``PathEnumPrioritized``).
-
-    Expansion is driven by an activation score: each target entity starts with
-    activation ``1 / degree`` and expanding a node spreads its activation to
-    its neighbours divided by their degree.  High-degree hubs therefore
-    receive little activation and are expanded late, letting the cheaper side
-    of the search reach the meeting point first.  The produced path set is
-    identical to :func:`path_enum_basic`; only the amount and order of work
-    differs.
-    """
-    _validate(kb, v_start, v_end, length_limit)
-    if isinstance(kb, CompiledKB):
-        return _path_enum_prioritized_compiled(kb, v_start, v_end, length_limit)
-    forward_limit = math.ceil(length_limit / 2)
-    backward_limit = length_limit // 2
-    limits = {"start": forward_limit, "end": backward_limit}
-    expansions = 0
-    deadline = current_deadline()
-
-    start_side: dict[str, list[_PartialPath]] = {v_start: [_PartialPath("start", (v_start,), ())]}
-    end_side: dict[str, list[_PartialPath]] = {v_end: [_PartialPath("end", (v_end,), ())]}
-    stores = {"start": start_side, "end": end_side}
-
-    # Per-origin node-keyed tables (avoids one tuple allocation + hash per
-    # bookkeeping operation in the expansion loop).
-    activations = {
-        "start": {v_start: 1.0 / max(kb.degree(v_start), 1)},
-        "end": {v_end: 1.0 / max(kb.degree(v_end), 1)},
-    }
-    # Index of partial paths not yet expanded, per origin and node.
-    pendings: dict[str, dict[str, list[_PartialPath]]] = {
-        "start": {v_start: [start_side[v_start][0]]},
-        "end": {v_end: [end_side[v_end][0]]},
-    }
-    counter = 0
-    heap: list[tuple[float, int, str, str]] = []
-    for origin, per_node in activations.items():
-        for node, score in per_node.items():
-            heap.append((-score, counter, origin, node))
-            counter += 1
-    heapq.heapify(heap)
-
-    while heap:
-        negative_score, _, origin, node = heapq.heappop(heap)
-        if deadline is not None:
-            deadline.tick()
-        pending = pendings[origin]
-        waiting = pending.pop(node, None)
-        if not waiting:
-            continue
-        score = -negative_score
-        store = stores[origin]
-        activation = activations[origin]
-        limit = limits[origin]
-        spread: dict[str, None] = {}
-        for partial in waiting:
-            if partial.length >= limit:
-                continue
-            for extension in _expand_partial(kb, partial, v_start, v_end):
-                expansions += 1
-                terminal = extension.terminal
-                store.setdefault(terminal, []).append(extension)
-                pending.setdefault(terminal, []).append(extension)
-                spread[terminal] = None
-        # Spread activation to the freshly reached nodes and (re-)enqueue them.
-        for neighbor in spread:
-            gained = score / max(kb.degree(neighbor), 1)
-            total = activation.get(neighbor, 0.0) + gained
-            activation[neighbor] = total
-            heapq.heappush(heap, (-total, counter, origin, neighbor))
-            counter += 1
-        activation[node] = 0.0
-
-    paths = _collect_full_paths(start_side, end_side, length_limit)
+    paths = _collect_full_paths(ckb.names, start_side, end_side, length_limit)
     explanations = group_paths_into_explanations(paths)
     return PathEnumResult(
         explanations,

@@ -29,12 +29,11 @@ import itertools
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
 
 from repro.core.explanation import Explanation
 from repro.core.instance import ExplanationInstance
 from repro.core.isomorphism import DuplicateRegistry
-from repro.core.pattern import END, START, ExplanationPattern, PatternEdge, fresh_variable
+from repro.core.pattern import ExplanationPattern, PatternEdge, fresh_variable
 from repro.errors import EnumerationError
 from repro.resilience.deadline import current_deadline
 
@@ -74,254 +73,33 @@ class MergeStats:
 #: :class:`ExplanationPattern`, the ``(left variable, right variable)`` pairs
 #: sorted by left variable, and the right-variable -> merged-name mapping.
 #: A tuple rather than a dataclass because candidate generation sits on the
-#: union's hottest path (and the compiled kernel re-emits cached candidates
-#: without constructing anything).
+#: union's hottest path (and the kernel re-emits cached candidates without
+#: constructing anything).
 _MergeCandidate = tuple
 
 
-def _merge_info(explanation: Explanation) -> tuple:
-    """Per-explanation constants of the merge step, computed once.
-
-    Returns ``(sorted non-target variables, [(variable, assignment set)],
-    [edge tuples], {edge keys})`` and caches the tuple on the explanation: a
-    union run merges the same explanations against many partners, and this
-    setup dominated the per-merge-call cost.
-    """
-    info = explanation.__dict__.get("_merge_info")
-    if info is None:
-        pattern = explanation.pattern
-        variables = sorted(pattern.non_target_variables)
-        info = (
-            variables,
-            [(variable, explanation.assignments(variable)) for variable in variables],
-            [
-                (edge.source, edge.target, edge.label, edge.directed)
-                for edge in pattern.edges
-            ],
-            {edge.key() for edge in pattern.edges},
-        )
-        explanation.__dict__["_merge_info"] = info
-    return info
-
-
-def _compatible_mappings(
-    left_variables: list[str],
-    compatible: dict[str, list[str]],
-    min_matched: int,
-    max_matched: int,
-) -> Iterator[tuple[tuple[str, str], ...]]:
-    """Partial one-to-one mappings from ``left_variables`` onto the right
-    variables each is compatible with (overlapping assignment sets).
-
-    The start and end variables are always mapped onto each other (requirement
-    (1) of the merge definition); requirement (4) demands at least one matched
-    non-target pair, which guarantees the merged pattern is non-decomposable.
-    Mappings are yielded as ``((left, right), ...)`` pair tuples sorted by the
-    left variable, in the same order the exhaustive subset-by-permutation
-    enumeration would produce the surviving ones, so the pruning is invisible
-    downstream; pairs with disjoint assignment sets (the instance join would
-    certainly be empty) are never generated, which is what makes PathUnion's
-    candidate generation cheap on dense path sets.  Arities one to three (all
-    that a size-5 pattern limit allows) are unrolled; larger subsets fall back
-    to a generic depth-first search.
-    """
-    for matched_count in range(max(1, min_matched), max_matched + 1):
-        for left_subset in itertools.combinations(left_variables, matched_count):
-            if matched_count == 1:
-                (variable_a,) = left_subset
-                for right_a in compatible[variable_a]:
-                    yield ((variable_a, right_a),)
-            elif matched_count == 2:
-                variable_a, variable_b = left_subset
-                row_b = compatible[variable_b]
-                if not row_b:
-                    continue
-                for right_a in compatible[variable_a]:
-                    for right_b in row_b:
-                        if right_b != right_a:
-                            yield ((variable_a, right_a), (variable_b, right_b))
-            elif matched_count == 3:
-                variable_a, variable_b, variable_c = left_subset
-                row_b = compatible[variable_b]
-                row_c = compatible[variable_c]
-                if not row_b or not row_c:
-                    continue
-                for right_a in compatible[variable_a]:
-                    for right_b in row_b:
-                        if right_b == right_a:
-                            continue
-                        for right_c in row_c:
-                            if right_c != right_a and right_c != right_b:
-                                yield (
-                                    (variable_a, right_a),
-                                    (variable_b, right_b),
-                                    (variable_c, right_c),
-                                )
-            else:  # pragma: no cover - needs patterns beyond the paper's sizes
-                yield from _compatible_mappings_dfs(left_subset, compatible)
-
-
-def _compatible_mappings_dfs(
-    left_subset: tuple[str, ...], compatible: dict[str, list[str]]
-) -> Iterator[tuple[tuple[str, str], ...]]:
-    """Generic fallback for subsets larger than the unrolled arities."""
-    chosen: list[str] = []
-    used: set[str] = set()
-
-    def assign(index: int) -> Iterator[tuple[tuple[str, str], ...]]:
-        if index == len(left_subset):
-            yield tuple(zip(left_subset, chosen))
-            return
-        for right_variable in compatible[left_subset[index]]:
-            if right_variable in used:
-                continue
-            used.add(right_variable)
-            chosen.append(right_variable)
-            yield from assign(index + 1)
-            chosen.pop()
-            used.remove(right_variable)
-
-    yield from assign(0)
-
-
-def _merge_candidates(
-    left: Explanation,
-    right: Explanation,
-    size_limit: int,
-    stats: MergeStats | None = None,
-    left_info: tuple | None = None,
-    right_info: tuple | None = None,
-) -> Iterator[_MergeCandidate]:
-    """Enumerate merged patterns of ``left`` and ``right`` worth joining.
-
-    Candidates are pruned when the merged pattern would exceed the size limit
-    (enforced up front through the minimum matched-pair count) and when a
-    matched variable pair has disjoint assignment sets; a merge that adds no
-    edge is also discarded.  ``left_info``/``right_info`` are accepted (and
-    ignored) so the union loops can call the classic generator and the
-    compiled kernel interchangeably.
-    """
-    if stats is not None:
-        stats.merge_calls += 1
-    left_pattern = left.pattern
-    left_sorted_vars, left_assignment_sets, _, left_edge_keys = _merge_info(left)
-    right_sorted_vars, right_assignment_sets, right_edge_tuples, _ = _merge_info(right)
-    left_size = left_pattern.num_nodes
-    right_non_target = len(right_sorted_vars)
-    max_matched = min(len(left_sorted_vars), right_non_target)
-    # merged size = left_size + right_non_target - matched_count, so the size
-    # limit translates into a minimum number of matched pairs.
-    min_matched = left_size + right_non_target - size_limit
-    if max_matched == 0 or min_matched > max_matched:
-        return
-    # Assignment-set compatibility matrix: a matched pair whose entity sets
-    # are disjoint cannot produce any joined instance, so such pairs never
-    # enter the mapping enumeration at all.  Construction aborts as soon as
-    # the empty rows make the minimum matched-pair count unreachable.
-    needed = max(1, min_matched)
-    compatible: dict[str, list[str]] = {}
-    nonempty_rows = 0
-    remaining_rows = len(left_assignment_sets)
-    for left_variable, left_set in left_assignment_sets:
-        row = [
-            right_variable
-            for right_variable, right_set in right_assignment_sets
-            if not left_set.isdisjoint(right_set)
-        ]
-        compatible[left_variable] = row
-        if row:
-            nonempty_rows += 1
-        remaining_rows -= 1
-        if nonempty_rows + remaining_rows < needed:
-            return
-
-    left_variables = left_pattern.variables
-    left_edges = left_pattern.edges
-    # Fresh names for unmatched right variables depend only on the left
-    # pattern, so they are computed once per merge call; sorted unmatched
-    # variables consume them in order, exactly as the incremental scan did.
-    fresh_names: list[str] = []
-    next_fresh = 0
-    while len(fresh_names) < right_non_target:
-        name = fresh_variable(next_fresh)
-        if name not in left_variables:
-            fresh_names.append(name)
-        next_fresh += 1
-    edge_cache: dict[tuple, PatternEdge] = {}
-
-    for mapping_pairs in _compatible_mappings(
-        left_sorted_vars, compatible, min_matched, max_matched
-    ):
-        if stats is not None:
-            stats.mappings_tried += 1
-
-        # Rename the right pattern so matched variables take the left name and
-        # unmatched variables receive fresh names that cannot collide.
-        reverse = {right_name: left_name for left_name, right_name in mapping_pairs}
-        if len(mapping_pairs) == right_non_target:
-            rename = reverse  # every right variable is matched
-        else:
-            rename = {}
-            fresh_iter = iter(fresh_names)
-            for variable in right_sorted_vars:
-                mapped = reverse.get(variable)
-                rename[variable] = mapped if mapped is not None else next(fresh_iter)
-
-        new_edges: list[PatternEdge] = []
-        for source, target, label, directed in right_edge_tuples:
-            renamed_source = rename.get(source, source)
-            renamed_target = rename.get(target, target)
-            if directed or renamed_source <= renamed_target:
-                key = (renamed_source, renamed_target, label, directed)
-            else:
-                key = (renamed_target, renamed_source, label, directed)
-            if key in left_edge_keys:
-                continue
-            edge = edge_cache.get(key)
-            if edge is None:
-                edge = edge_cache[key] = PatternEdge(
-                    renamed_source, renamed_target, label, directed
-                )
-            new_edges.append(edge)
-        # A merge that adds no edge reproduces the left pattern and only
-        # creates duplicate work downstream.
-        if not new_edges:
-            continue
-        merged_pattern = ExplanationPattern._trusted(
-            left_variables | frozenset(rename.values()),
-            left_edges | frozenset(new_edges),
-        )
-        # pairs ascend by left variable (subsets come from the sorted
-        # variable list), so they are already in the sorted order.
-        yield (merged_pattern, mapping_pairs, rename)
-
-
 # ---------------------------------------------------------------------------
-# The compiled merge kernel
+# The merge kernel
 # ---------------------------------------------------------------------------
 #
-# On the compiled backend the union runs the same Algorithm 3/4 skeletons but
-# candidate generation goes through a rewritten kernel.  Profiling shows the
-# classic generator spends most of the union's time on (left, right) pairs
-# that yield nothing: per call it re-derives sizes, builds the full
-# compatibility matrix and enumerates mappings before discovering the pair is
-# barren.  The kernel instead
+# Candidate generation enumerates the partial one-to-one variable mappings of
+# a (left, right) pair that survive the cheap pruning rules: the size limit
+# (through a minimum matched-pair count), assignment-set overlap of every
+# matched pair (a disjoint pair cannot produce a joined instance), and at
+# least one added edge.  Most (left, right) pairs yield nothing, so the
+# kernel
 #
 # 1. short-circuits pairs whose *overall* entity sets are disjoint (no
 #    variable pair can overlap) with a single frozenset probe;
 # 2. encodes the compatibility matrix as one bitmask per left variable and
 #    resolves the partial-mapping enumeration through a memoised table keyed
 #    on those masks — tiny domains (paths have at most three non-target
-#    variables), so the backtracking enumeration is almost always a dict hit;
+#    variables), so the enumeration is almost always a dict hit;
 # 3. memoises the pattern-space half of a merge (variable renaming, fresh
 #    names, added edges, the merged pattern object) per
 #    ``(left pattern, right pattern, mapping)``: explanation *shapes* recur
-#    heavily across requests against one compiled KB version, and the merged
-#    pattern for a shape pair is independent of the instances at hand.
-#
-# The produced candidate set is exactly the classic generator's (the same
-# mappings survive the same pruning rules); only the work to produce it
-# changes.  Instance joins are shared with the classic path.
+#    heavily, and the merged pattern for a shape pair is independent of the
+#    instances at hand.
 
 
 #: Pattern value -> integer token.  Tokens turn the merge-plan cache keys
@@ -350,14 +128,14 @@ def _pattern_token(pattern: ExplanationPattern) -> int:
     return token
 
 
-def _fast_info(explanation: Explanation) -> tuple:
-    """Per-explanation constants of the compiled merge kernel, cached.
+def _merge_info(explanation: Explanation) -> tuple:
+    """Per-explanation constants of the merge kernel, cached.
 
     ``(sorted non-target variables, aligned assignment sets, right-edge
     tuples, left-edge key set, pattern size, union of all assignment sets,
     pattern token)``.
     """
-    info = explanation.__dict__.get("_fast_merge_info")
+    info = explanation.__dict__.get("_merge_info")
     if info is None:
         pattern = explanation.pattern
         variables = sorted(pattern.non_target_variables)
@@ -377,7 +155,7 @@ def _fast_info(explanation: Explanation) -> tuple:
             all_entities,
             _pattern_token(pattern),
         )
-        explanation.__dict__["_fast_merge_info"] = info
+        explanation.__dict__["_merge_info"] = info
     return info
 
 
@@ -389,8 +167,8 @@ def _mapping_table(
 
     ``masks[i]`` has bit ``j`` set when left variable ``i`` may map onto
     right variable ``j``.  Mappings are ``((left_index, right_index), ...)``
-    tuples ordered exactly like the classic enumeration: ascending matched
-    count, left subsets in combination order, right choices in index order.
+    tuples in a fixed order: ascending matched count, left subsets in
+    combination order, right choices in index order.
     """
     left_count = len(masks)
     results: list[tuple[tuple[int, int], ...]] = []
@@ -432,7 +210,11 @@ def _build_merge_plan(
     left_edge_keys: set,
     mapping_names: tuple[tuple[str, str], ...],
 ) -> tuple[ExplanationPattern | None, dict[str, str]]:
-    """The pattern-space half of one merge candidate (classic semantics)."""
+    """The pattern-space half of one merge candidate.
+
+    Matched right variables take the left name; unmatched ones receive fresh
+    names that cannot collide with the left pattern's variables.
+    """
     left_variables = left_pattern.variables
     reverse = {right_name: left_name for left_name, right_name in mapping_names}
     if len(mapping_names) == len(right_sorted_vars):
@@ -462,7 +244,8 @@ def _build_merge_plan(
             continue
         new_edges.append(PatternEdge(renamed_source, renamed_target, label, directed))
     if not new_edges:
-        # Reproduces the left pattern; the classic generator discards it too.
+        # A merge that adds no edge reproduces the left pattern and would
+        # only create duplicate work downstream.
         return (None, rename)
     merged = ExplanationPattern._trusted(
         left_variables | frozenset(rename.values()),
@@ -471,7 +254,7 @@ def _build_merge_plan(
     return (merged, rename)
 
 
-def _merge_candidates_fast(
+def _merge_candidates(
     left: Explanation,
     right: Explanation,
     size_limit: int,
@@ -479,18 +262,18 @@ def _merge_candidates_fast(
     left_info: tuple | None = None,
     right_info: tuple | None = None,
 ) -> list[_MergeCandidate]:
-    """Compiled-kernel candidate generation; same candidates as the classic.
+    """Enumerate merged patterns of ``left`` and ``right`` worth joining.
 
-    The union loops hoist ``left_info``/``right_info`` (see :func:`_fast_info`)
+    The union loops hoist ``left_info``/``right_info`` (see :func:`_merge_info`)
     and the overall-disjointness skip out of this call; when invoked directly
     both are derived here.
     """
     if stats is not None:
         stats.merge_calls += 1
     if left_info is None:
-        left_info = _fast_info(left)
+        left_info = _merge_info(left)
     if right_info is None:
-        right_info = _fast_info(right)
+        right_info = _merge_info(right)
     left_vars, left_sets, _, left_edge_keys, left_size, left_all, left_token = left_info
     right_vars, right_sets, right_edges, _, _, right_all, right_token = right_info
     right_non_target = len(right_vars)
@@ -549,7 +332,7 @@ def _merge_candidates_fast(
 
 
 def _maybe_trim_merge_caches() -> None:
-    """Entry-point cap check for the compiled union's shared caches.
+    """Entry-point cap check for the merge kernel's shared caches.
 
     Safe to run while other threads are mid-union: tokens are never reused
     (monotone counter), so dropping intern or plan entries can only force a
@@ -650,6 +433,7 @@ def merge_explanations(
         least one instance.  Instances are derived from the input instances
         (no knowledge-base evaluation happens here).
     """
+    _maybe_trim_merge_caches()
     results: list[Explanation] = []
     for candidate in _merge_candidates(left, right, size_limit, stats):
         instances = _join_instances(left, right, candidate, stats)
@@ -675,7 +459,7 @@ def path_union_basic(
     path_explanations: list[Explanation],
     size_limit: int,
     stats: MergeStats | None = None,
-    compiled: bool = False,
+    compiled: bool = False,  # no effect; kept because perfbench/tracing.py passes it
 ) -> list[Explanation]:
     """PathUnionBasic (Algorithm 3).
 
@@ -684,20 +468,13 @@ def path_union_basic(
     Terminates when a round produces nothing new, which is guaranteed because
     each round grows the number of edges and the size limit bounds patterns.
 
-    With ``compiled=True`` (set by the enumeration framework when the
-    knowledge base is a :class:`~repro.kb.compiled.CompiledKB`) candidate
-    generation goes through the compiled merge kernel — same candidates,
-    produced with bitmask compatibility tables and memoised pattern merges.
-
     Returns:
         All minimal explanations with at most ``size_limit`` variables and at
         least one instance, including the seed path explanations.
     """
     _validate_inputs(path_explanations, size_limit)
     stats = stats if stats is not None else MergeStats()
-    merge_candidates = _merge_candidates_fast if compiled else _merge_candidates
-    if compiled:
-        _maybe_trim_merge_caches()
+    _maybe_trim_merge_caches()
 
     results: list[Explanation] = []
     registry = DuplicateRegistry()
@@ -705,10 +482,10 @@ def path_union_basic(
         if explanation.pattern.num_nodes <= size_limit and registry.add(explanation.pattern):
             results.append(explanation)
 
-    # Hoisted per-path constants: size eligibility, and (compiled only) the
-    # merge infos driving the pair-level disjointness skip.
-    eligible: list[tuple[Explanation, tuple | None]] = [
-        (path_explanation, _fast_info(path_explanation) if compiled else None)
+    # Hoisted per-path constants: size eligibility and the merge infos
+    # driving the pair-level disjointness skip.
+    eligible: list[tuple[Explanation, tuple]] = [
+        (path_explanation, _merge_info(path_explanation))
         for path_explanation in path_explanations
         if path_explanation.pattern.num_nodes <= size_limit
     ]
@@ -720,16 +497,16 @@ def path_union_basic(
         stats.rounds += 1
         new_round: list[Explanation] = []
         for explanation in expand_queue:
-            left_info = _fast_info(explanation) if compiled else None
+            left_info = _merge_info(explanation)
             for path_explanation, right_info in eligible:
                 if deadline is not None:
                     deadline.tick()
-                if compiled and left_info[5].isdisjoint(right_info[5]):
+                if left_info[5].isdisjoint(right_info[5]):
                     # No variable pair can share an entity: the merge cannot
                     # produce a joinable candidate, so skip the kernel call.
                     stats.merge_calls += 1
                     continue
-                for candidate in merge_candidates(
+                for candidate in _merge_candidates(
                     explanation, path_explanation, size_limit, stats,
                     left_info, right_info,
                 ):
@@ -754,7 +531,7 @@ def path_union_prune(
     path_explanations: list[Explanation],
     size_limit: int,
     stats: MergeStats | None = None,
-    compiled: bool = False,
+    compiled: bool = False,  # no effect; kept because perfbench/tracing.py passes it
 ) -> list[Explanation]:
     """PathUnionPrune (Algorithm 4).
 
@@ -769,9 +546,7 @@ def path_union_prune(
     """
     _validate_inputs(path_explanations, size_limit)
     stats = stats if stats is not None else MergeStats()
-    merge_candidates = _merge_candidates_fast if compiled else _merge_candidates
-    if compiled:
-        _maybe_trim_merge_caches()
+    _maybe_trim_merge_caches()
 
     results: list[Explanation] = []
     registry = DuplicateRegistry()
@@ -787,7 +562,7 @@ def path_union_prune(
         for path_explanation in path_explanations
     ]
     path_infos = [
-        _fast_info(path_explanation) if compiled and ok else None
+        _merge_info(path_explanation) if ok else None
         for path_explanation, ok in zip(path_explanations, path_ok)
     ]
 
@@ -820,7 +595,7 @@ def path_union_prune(
                 for parent, _ in expand_history[index_left]:
                     candidate_paths.update(paths_by_parent.get(parent, ()))
 
-            left_info = _fast_info(explanation) if compiled else None
+            left_info = _merge_info(explanation)
             for path_index in sorted(candidate_paths):
                 if deadline is not None:
                     deadline.tick()
@@ -828,11 +603,11 @@ def path_union_prune(
                     continue
                 path_explanation = path_explanations[path_index]
                 right_info = path_infos[path_index]
-                if compiled and left_info[5].isdisjoint(right_info[5]):
+                if left_info[5].isdisjoint(right_info[5]):
                     # Entity-disjoint pair: no joinable candidate can exist.
                     stats.merge_calls += 1
                     continue
-                for candidate in merge_candidates(
+                for candidate in _merge_candidates(
                     explanation, path_explanation, size_limit, stats,
                     left_info, right_info,
                 ):

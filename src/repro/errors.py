@@ -75,7 +75,7 @@ class RankingError(RexError):
 
 
 class RelationalError(RexError):
-    """Raised by the mini relational engine for malformed queries."""
+    """Raised when a pattern cannot be evaluated as a conjunctive query."""
 
 
 class DeadlineExceeded(RexError):

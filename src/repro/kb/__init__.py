@@ -1,4 +1,4 @@
-"""Knowledge-base substrate: labelled graph, schema, relational view,
+"""Knowledge-base substrate: labelled graph, schema, the compiled read view,
 durable store and compiled-plane checkpoints."""
 
 from repro.kb.checkpoint import checkpoint_info, load_checkpoint, save_checkpoint

@@ -28,12 +28,14 @@ into contiguous integer arrays:
   answering ``has_edge`` without tuple allocation.
 
 A compiled view is **read-only** (mutators raise) and carries the version it
-was compiled at; the serving engine caches one per KB version.  It duck-types
-the whole read API of :class:`~repro.kb.graph.KnowledgeBase` — decoding
-handles back to strings at those API boundaries — so every algorithm in the
-repository accepts either backend, while the hot paths in
-:mod:`repro.kb.sql`, :mod:`repro.core.matcher` and :mod:`repro.enumeration`
-detect a compiled view and run on integer handles end to end.
+was compiled at; the serving engine caches one per KB version.  It is the
+one read backend: the matcher, path enumeration and the sweeps of
+:mod:`repro.kb.sql` run on its integer handles end to end, and a plain KB
+reaches them through :func:`compile_kb`, which caches one view per KB object
+and version.  The view also duck-types the read API of
+:class:`~repro.kb.graph.KnowledgeBase` — decoding handles back to strings at
+those API boundaries — so NaiveEnum and the other KB-API readers run on it
+unchanged.
 
 :meth:`CompiledKB.to_buffers` / :meth:`CompiledKB.from_buffers` round-trip
 the arrays as ``tobytes()`` blobs, which is what snapshot payload format 2
@@ -48,6 +50,7 @@ import threading
 import time
 from array import array
 from typing import Any, Iterator, Mapping, Sequence
+from weakref import WeakKeyDictionary
 
 import networkx as nx
 
@@ -1384,6 +1387,30 @@ def extend_compiled(prev: CompiledKB, kb: KnowledgeBase) -> OverlayCompiledKB:
     )
 
 
+#: KnowledgeBase -> its compiled view at the version it was compiled at.
+#: Weak keys, so a view lives exactly as long as its source KB object.
+_COMPILED_VIEWS: "WeakKeyDictionary[KnowledgeBase, CompiledKB]" = WeakKeyDictionary()
+_COMPILED_VIEWS_LOCK = threading.Lock()
+
+
 def compile_kb(kb: KnowledgeBase) -> CompiledKB:
-    """Compile ``kb`` into its array-backed read-only view (idempotent)."""
-    return CompiledKB.compile(kb)
+    """The compiled view every read kernel runs on.
+
+    A compiled view is returned unchanged.  A plain
+    :class:`~repro.kb.graph.KnowledgeBase` is compiled at its current
+    :attr:`~repro.kb.graph.KnowledgeBase.version` and the view is cached per
+    KB object, so a sequence of reads against one plain KB pays for one
+    compile; a mutation moves the version and the next read recompiles.
+    The serving engine compiles its own per-version views and only ever
+    passes those here, so it never fills this cache.
+    """
+    if isinstance(kb, CompiledKB):
+        return kb
+    view = _COMPILED_VIEWS.get(kb)
+    if view is not None and view.version == kb.version:
+        return view
+    with _COMPILED_VIEWS_LOCK:
+        view = _COMPILED_VIEWS.get(kb)
+        if view is None or view.version != kb.version:
+            view = _COMPILED_VIEWS[kb] = CompiledKB.compile(kb)
+    return view

@@ -1,24 +1,25 @@
-"""Pattern-to-SQL compilation and conjunctive evaluation over the edge relation.
+"""Conjunctive evaluation of explanation patterns over the edge relation.
 
 Section 5.3.2 computes the local distributional position of an explanation by
 translating its pattern into a self-join SQL query over the edge relation
 ``R(eid1, eid2, rel)``, grouping by the end entity and counting, with a
 ``HAVING count > c`` filter and a ``LIMIT`` clause for pruning.  This module
-provides:
+evaluates that query directly:
 
-* :func:`compile_pattern_sql` — render exactly that SQL text for a pattern
-  (useful for documentation, the CLI and tests of the compilation rules);
-* :func:`pattern_bindings` — evaluate the conjunctive query directly against
-  the knowledge base with some variables fixed (the start entity, optionally
-  the end entity), returning all variable bindings;
-* :func:`local_count_distribution` — the grouped counts per end entity that
-  the SQL query would return, with optional ``HAVING``/``LIMIT`` pruning;
+* :func:`iter_pattern_bindings` / :func:`pattern_bindings` — the lazy
+  conjunctive evaluation with some variables fixed (the start entity,
+  optionally the end entity), reading only the knowledge base's public API;
+  it is the reference the batched kernels are tested against;
 * :func:`sweep_local_count_distributions` — the **batched evaluator**: the
-  pattern is compiled once (edge order, slot assignment) and a single frontier
-  expansion over the knowledge base's ``(label, orientation)`` indexes sweeps
-  every requested start entity, grouping counts by ``(start, end)``.  The
-  distributional measures of Section 4.3 use it to turn their
-  O(pairs × match) loops into one shared traversal.
+  pattern is compiled once (edge order, slot assignment) into a loop nest
+  over the compiled view's CSR planes that sweeps every requested start
+  entity, grouping counts by ``(start, end)``.  The distributional measures
+  of Section 4.3 use it to turn their O(pairs × match) loops into one shared
+  traversal;
+* :func:`sweep_position_count` — the same sweep fused with the position
+  tally of the unpruned distributional ranking;
+* :func:`count_qualifying_end_entities` — the ``HAVING``/``LIMIT`` form used
+  by the pruned ranking, which stops once a bound is exceeded.
 
 The evaluation deliberately mirrors instance semantics (Definition 2):
 bindings are injective and non-target variables avoid the target entities.
@@ -33,7 +34,7 @@ from weakref import WeakKeyDictionary
 
 from repro.core.pattern import END, START, ExplanationPattern, PatternEdge
 from repro.errors import RelationalError
-from repro.kb.compiled import ORIENT_CODE, CompiledKB
+from repro.kb.compiled import ORIENT_CODE, CompiledKB, compile_kb
 from repro.kb.graph import KnowledgeBase
 from repro.resilience.deadline import current_deadline
 
@@ -50,90 +51,13 @@ def _deadline_poll() -> None:
         deadline.tick()
 
 __all__ = [
-    "CompiledSQL",
-    "compile_pattern_sql",
     "pattern_bindings",
     "iter_pattern_bindings",
-    "local_count_distribution",
     "SweepResult",
     "sweep_local_count_distributions",
     "sweep_position_count",
     "count_qualifying_end_entities",
 ]
-
-
-@dataclass(frozen=True)
-class CompiledSQL:
-    """The SQL rendering of an explanation pattern's local-distribution query."""
-
-    text: str
-    table_aliases: tuple[str, ...]
-    group_by: tuple[str, ...]
-
-
-def _alias_column(alias: str, column: str) -> str:
-    return f"{alias}.{column}"
-
-
-def compile_pattern_sql(
-    pattern: ExplanationPattern,
-    v_start: str,
-    count_threshold: int,
-    limit: int | None = None,
-    relation_name: str = "R",
-) -> CompiledSQL:
-    """Render the Section 5.3.2 SQL query for ``pattern``.
-
-    Each pattern edge becomes one aliased copy of the edge relation; shared
-    variables become equality predicates between the corresponding columns;
-    the query groups by the end-variable column and keeps groups whose count
-    exceeds ``count_threshold``.
-
-    Example (co-starring pattern)::
-
-        SELECT v_start, R2.eid1, count(*) AS count
-        FROM R AS R1, R AS R2
-        WHERE ...
-        GROUP BY v_start, R2.eid1
-        HAVING count > c
-    """
-    edges = sorted(pattern.edges, key=lambda edge: edge.key())
-    if not edges:
-        raise RelationalError("cannot compile a pattern without edges to SQL")
-    aliases = [f"{relation_name}{index + 1}" for index in range(len(edges))]
-
-    # Each variable is represented by the first (alias, column) that binds it.
-    variable_column: dict[str, str] = {}
-    predicates: list[str] = []
-    for alias, edge in zip(aliases, edges):
-        predicates.append(f"{alias}.rel = '{edge.label}'")
-        for column, variable in (("eid1", edge.source), ("eid2", edge.target)):
-            reference = _alias_column(alias, column)
-            if variable in variable_column:
-                predicates.append(f"{variable_column[variable]} = {reference}")
-            else:
-                variable_column[variable] = reference
-    predicates.append(f"{variable_column[START]} = '{v_start}'")
-
-    end_column = variable_column.get(END)
-    if end_column is None:
-        raise RelationalError("the pattern does not constrain the end variable")
-
-    from_clause = ", ".join(f"{relation_name} AS {alias}" for alias in aliases)
-    where_clause = "\n  AND ".join(predicates)
-    limit_clause = f"\nLIMIT {limit}" if limit is not None else ""
-    text = (
-        f"SELECT {variable_column[START]} AS v_start, {end_column} AS v_end, count(*) AS count\n"
-        f"FROM {from_clause}\n"
-        f"WHERE {where_clause}\n"
-        f"GROUP BY {variable_column[START]}, {end_column}\n"
-        f"HAVING count > {count_threshold}{limit_clause}"
-    )
-    return CompiledSQL(
-        text=text,
-        table_aliases=tuple(aliases),
-        group_by=(variable_column[START], end_column),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +174,7 @@ class _SweepStep:
     label: str
     orientation: str  # expansion: orientation from the anchor's perspective
     check_slot: int | None = None  # check: the other bound slot
-    check_direction: str = "out"  # check: direction passed to has_edge
+    check_direction: str = "out"  # check: "out" (directed edge) or "any"
 
 
 @dataclass(frozen=True)
@@ -366,388 +290,18 @@ def _sweep_plan(pattern: ExplanationPattern) -> _SweepPlan:
     return _SweepPlan(tuple(names), tuple(steps), end_slot)
 
 
-def sweep_local_count_distributions(
-    kb: KnowledgeBase,
-    pattern: ExplanationPattern,
-    start_entities: Sequence[str] | None = None,
-    collect_variable_sets: bool = False,
-) -> SweepResult:
-    """Evaluate the local-distribution query for many start entities at once.
-
-    Semantically equivalent to running ``iter_pattern_bindings(kb, pattern,
-    {START: s})`` for every ``s`` and grouping the bindings by ``(s, end)``,
-    but the pattern is compiled once (:func:`_sweep_plan`, cached), bindings
-    live in a flat slot array, and every candidate step is answered by the
-    knowledge base's ``(label, orientation)`` index — no per-start setup, no
-    per-binding dict copies.  This is the evaluator behind the distributional
-    measures (Section 4.3) and the unpruned Figure 11 scenarios.
-
-    Args:
-        kb: the knowledge base.
-        pattern: the explanation pattern (conjunctive query).
-        start_entities: start entities to sweep; ``None`` sweeps every entity.
-        collect_variable_sets: also gather per-``(start, end)`` per-variable
-            entity sets (needed by the monocount aggregate).
-
-    Returns:
-        A :class:`SweepResult`; starts absent from the knowledge base simply
-        contribute no groups, matching the per-start evaluator.
-    """
-    if isinstance(kb, CompiledKB):
-        return _sweep_compiled(kb, pattern, start_entities, collect_variable_sets)
-    plan = _sweep_plan(pattern)
-    steps = plan.steps
-    num_steps = len(steps)
-    last_step = num_steps - 1
-    end_slot = plan.end_slot
-    names = plan.variable_names
-    counts: dict[str, dict[str, int]] = {}
-    variable_sets: dict[tuple[str, str], dict[str, set[str]]] | None = (
-        {} if collect_variable_sets else None
-    )
-    bindings_enumerated = 0
-
-    binding: list[str] = [""] * len(names)
-    used: set[str] = set()
-    label_index = kb._label_index  # noqa: SLF001 - same-subsystem hot path
-    has_edge = kb.has_edge
-
-    def run_full(index: int, per_start: dict[str, int], start: str) -> None:
-        """General recursion: complete bindings, per-variable entity sets."""
-        nonlocal bindings_enumerated
-        if index == num_steps:
-            bindings_enumerated += 1
-            end = binding[end_slot]
-            per_start[end] = per_start.get(end, 0) + 1
-            group = variable_sets.get((start, end))
-            if group is None:
-                group = variable_sets[(start, end)] = {name: set() for name in names}
-            for name, entity in zip(names, binding):
-                group[name].add(entity)
-            return
-        step = steps[index]
-        if step.free_slot is None:
-            if has_edge(
-                binding[step.anchor_slot],
-                binding[step.check_slot],
-                step.label,
-                step.check_direction,
-            ):
-                run_full(index + 1, per_start, start)
-            return
-        free_slot = step.free_slot
-        for candidate in label_index[binding[step.anchor_slot]].get(
-            (step.label, step.orientation), ()
-        ):
-            if candidate in used:
-                continue
-            binding[free_slot] = candidate
-            used.add(candidate)
-            run_full(index + 1, per_start, start)
-            used.discard(candidate)
-
-    edge_presence = kb._edge_presence  # noqa: SLF001 - same-subsystem hot path
-
-    def run_count(
-        index: int,
-        per_start: dict[str, int],
-        # Bound as defaults so the recursion reads locals, not closure cells.
-        steps: tuple = steps,
-        binding: list = binding,
-        used: set = used,
-        label_index: dict = label_index,
-        edge_presence: set = edge_presence,
-        num_steps: int = num_steps,
-        last_step: int = last_step,
-        end_slot: int = end_slot,
-    ) -> None:
-        """Count-only recursion; the last step is counted, not expanded.
-
-        Consecutive edge-presence checks are folded into one frame (they are
-        pass-through filters), and the deepest expansion level is closed with
-        arithmetic on the index rows instead of one recursive call, set insert
-        and set discard per leaf — the bulk of the backtracking tree lives
-        there, which is what makes the batched sweep scale to Figure 11's
-        many-start workloads.
-        """
-        nonlocal bindings_enumerated
-        step = steps[index]
-        while step.free_slot is None:
-            source = binding[step.anchor_slot]
-            target = binding[step.check_slot]
-            label = step.label
-            if (source, target, label, "undirected") not in edge_presence:
-                if step.check_direction == "out":
-                    if (source, target, label, "out") not in edge_presence:
-                        return
-                elif (source, target, label, "out") not in edge_presence and (
-                    source,
-                    target,
-                    label,
-                    "in",
-                ) not in edge_presence:
-                    return
-            index += 1
-            if index == num_steps:
-                bindings_enumerated += 1
-                end = binding[end_slot]
-                per_start[end] = per_start.get(end, 0) + 1
-                return
-            step = steps[index]
-        row = label_index[binding[step.anchor_slot]].get(
-            (step.label, step.orientation), ()
-        )
-        if not row:
-            return
-        free_slot = step.free_slot
-        if index == last_step:
-            if free_slot == end_slot:
-                for candidate in row:
-                    if candidate not in used:
-                        bindings_enumerated += 1
-                        per_start[candidate] = per_start.get(candidate, 0) + 1
-            else:
-                valid = 0
-                for candidate in row:
-                    if candidate not in used:
-                        valid += 1
-                if valid:
-                    bindings_enumerated += valid
-                    end = binding[end_slot]
-                    per_start[end] = per_start.get(end, 0) + valid
-            return
-        next_index = index + 1
-        leaf = steps[next_index]
-        if next_index == last_step and leaf.free_slot is not None:
-            # Fuse the two deepest expansion levels into this frame: for
-            # typical 2-3 step plans this leaves one Python frame per start.
-            leaf_free = leaf.free_slot
-            leaf_is_end = leaf_free == end_slot
-            leaf_anchor = leaf.anchor_slot
-            leaf_key = (leaf.label, leaf.orientation)
-            for candidate in row:
-                if candidate in used:
-                    continue
-                binding[free_slot] = candidate
-                used.add(candidate)
-                leaf_row = label_index[binding[leaf_anchor]].get(leaf_key, ())
-                if leaf_row:
-                    if leaf_is_end:
-                        for end in leaf_row:
-                            if end not in used:
-                                bindings_enumerated += 1
-                                per_start[end] = per_start.get(end, 0) + 1
-                    else:
-                        valid = 0
-                        for leaf_candidate in leaf_row:
-                            if leaf_candidate not in used:
-                                valid += 1
-                        if valid:
-                            bindings_enumerated += valid
-                            end = binding[end_slot]
-                            per_start[end] = per_start.get(end, 0) + valid
-                used.discard(candidate)
-            return
-        for candidate in row:
-            if candidate in used:
-                continue
-            binding[free_slot] = candidate
-            used.add(candidate)
-            run_count(next_index, per_start)
-            used.discard(candidate)
-
-    starts: Sequence[str] = (
-        kb.entities if start_entities is None else start_entities
-    )
-    for start in starts:
-        _deadline_poll()
-        # Each distinct start is evaluated once; a duplicated entry in
-        # ``start_entities`` must not double its groups or binding count.
-        if start in counts or not kb.has_entity(start):
-            continue
-        binding[0] = start
-        used.clear()
-        used.add(start)
-        per_start = counts[start] = {}
-        if variable_sets is None:
-            run_count(0, per_start)
-        else:
-            run_full(0, per_start, start)
-        if not per_start:
-            del counts[start]
-    return SweepResult(counts, variable_sets, bindings_enumerated)
-
-
-def count_qualifying_end_entities(
-    kb: KnowledgeBase,
-    pattern: ExplanationPattern,
-    v_start: str,
-    threshold: float,
-    exclude_end: str | None = None,
-    bound: int | None = None,
-) -> tuple[int, bool, int]:
-    """Count end entities whose group count exceeds ``threshold``, with LIMIT.
-
-    The compiled, early-terminating form of the Section 5.3.2 position query
-    (``HAVING count > c ... LIMIT p``) used by the pruned ranking scenarios:
-    evaluation aborts as soon as more than ``bound`` qualifying end entities
-    are known, because the caller only needs to learn that the candidate
-    cannot enter the current top-k.
-
-    Returns:
-        ``(qualifying, exact, bindings_enumerated)`` where ``exact`` is
-        ``False`` when evaluation stopped at the bound (``qualifying`` is then
-        a lower bound that already exceeds ``bound``).
-
-    The traversal below deliberately mirrors ``run_count`` inside
-    :func:`sweep_local_count_distributions` (check-step folding, fused leaf
-    levels) with abort plumbing threaded through; any change to one must be
-    applied to the other — ``tests/test_indexed_equivalence.py`` pins their
-    agreement on random knowledge bases.
-    """
-    _deadline_poll()
-    if isinstance(kb, CompiledKB):
-        return _count_qualifying_compiled(
-            kb, pattern, v_start, threshold, exclude_end, bound
-        )
-    if not kb.has_entity(v_start):
-        return (0, True, 0)
-    plan = _sweep_plan(pattern)
-    steps = plan.steps
-    num_steps = len(steps)
-    last_step = num_steps - 1
-    end_slot = plan.end_slot
-    binding: list[str] = [""] * len(plan.variable_names)
-    binding[0] = v_start
-    used = {v_start}
-    label_index = kb._label_index  # noqa: SLF001 - same-subsystem hot path
-    edge_presence = kb._edge_presence  # noqa: SLF001
-    counts: dict[str, int] = {}
-    qualifying: set[str] = set()
-    bindings_enumerated = 0
-
-    def group(end: str, additional: int) -> bool:
-        """Fold ``additional`` bindings into ``end``'s group; True = abort."""
-        nonlocal bindings_enumerated
-        bindings_enumerated += additional
-        if end == v_start or end == exclude_end:
-            return False
-        total = counts.get(end, 0) + additional
-        counts[end] = total
-        if total > threshold:
-            qualifying.add(end)
-            if bound is not None and len(qualifying) > bound:
-                return True
-        return False
-
-    def rec(
-        index: int,
-        steps: tuple = steps,
-        binding: list = binding,
-        used: set = used,
-        label_index: dict = label_index,
-        edge_presence: set = edge_presence,
-        num_steps: int = num_steps,
-        last_step: int = last_step,
-        end_slot: int = end_slot,
-    ) -> bool:
-        step = steps[index]
-        while step.free_slot is None:
-            source = binding[step.anchor_slot]
-            target = binding[step.check_slot]
-            label = step.label
-            if (source, target, label, "undirected") not in edge_presence:
-                if step.check_direction == "out":
-                    if (source, target, label, "out") not in edge_presence:
-                        return False
-                elif (source, target, label, "out") not in edge_presence and (
-                    source,
-                    target,
-                    label,
-                    "in",
-                ) not in edge_presence:
-                    return False
-            index += 1
-            if index == num_steps:
-                return group(binding[end_slot], 1)
-            step = steps[index]
-        row = label_index[binding[step.anchor_slot]].get(
-            (step.label, step.orientation), ()
-        )
-        if not row:
-            return False
-        free_slot = step.free_slot
-        if index == last_step:
-            if free_slot == end_slot:
-                for candidate in row:
-                    if candidate not in used and group(candidate, 1):
-                        return True
-                return False
-            valid = sum(1 for candidate in row if candidate not in used)
-            if valid:
-                return group(binding[end_slot], valid)
-            return False
-        next_index = index + 1
-        leaf = steps[next_index]
-        if next_index == last_step and leaf.free_slot is not None:
-            # Same two-deepest-level fusion as the batched sweep.
-            leaf_free = leaf.free_slot
-            leaf_is_end = leaf_free == end_slot
-            leaf_anchor = leaf.anchor_slot
-            leaf_key = (leaf.label, leaf.orientation)
-            for candidate in row:
-                if candidate in used:
-                    continue
-                binding[free_slot] = candidate
-                used.add(candidate)
-                stop = False
-                leaf_row = label_index[binding[leaf_anchor]].get(leaf_key, ())
-                if leaf_row:
-                    if leaf_is_end:
-                        for end in leaf_row:
-                            if end not in used and group(end, 1):
-                                stop = True
-                                break
-                    else:
-                        valid = sum(
-                            1
-                            for leaf_candidate in leaf_row
-                            if leaf_candidate not in used
-                        )
-                        if valid:
-                            stop = group(binding[end_slot], valid)
-                used.discard(candidate)
-                if stop:
-                    return True
-            return False
-        for candidate in row:
-            if candidate in used:
-                continue
-            binding[free_slot] = candidate
-            used.add(candidate)
-            stop = rec(next_index)
-            used.discard(candidate)
-            if stop:
-                return True
-        return False
-
-    aborted = rec(0)
-    return (len(qualifying), not aborted, bindings_enumerated)
-
-
 # ---------------------------------------------------------------------------
-# Integer-handle kernels for the compiled backend
+# Integer-handle kernels over the compiled view
 # ---------------------------------------------------------------------------
 #
-# A CompiledKB answers the same sweep with the same grouped counts, but the
-# traversal runs on integer handles end to end: each expansion step of the
+# The sweeps run on integer handles end to end: each expansion step of the
 # compiled plan holds its (label, orientation) CSR plane's lazily materialised
 # row/row-set tables directly (no string-keyed dict probe, no tuple-key
 # allocation per lookup), edge-presence checks probe the packed-integer
 # membership hash, and the deepest counting level folds a whole index row into
-# the per-start Counter with one C-level ``update`` plus a small ``used``-set
-# correction instead of one Python iteration per candidate.  Entities decode
-# back to strings only when the SweepResult is assembled.
+# the per-start group dict with one C-level call plus a small correction
+# for the bound slots instead of one Python iteration per candidate.
+# Entities decode back to strings only when the SweepResult is assembled.
 
 
 @dataclass(frozen=True)
@@ -758,7 +312,7 @@ class _CompiledSweepPlan:
 
     * check step (both endpoints bound): ``(anchor_slot, None, check_slot,
       check_planes, base_ok)`` — the edge is present when the packed key hits
-      any of ``check_planes`` (undirected first, mirroring the dict kernel)
+      any of ``check_planes`` (undirected first)
       in the base presence set (``base_ok`` = the packing covers these
       planes) or when the overlay delta holds the plain tuple;
     * expansion step: ``(anchor_slot, free_slot, rows, row_sets, offsets,
@@ -770,8 +324,7 @@ class _CompiledSweepPlan:
     -> bindings_enumerated``.  ``impossible`` is set when the pattern
     references a label or a ``(label, orientation)`` plane with no edges at
     all: no complete binding can exist, so the sweep short-circuits to an
-    empty result (identical to what the dict evaluator would enumerate its
-    way to).
+    empty result.
     """
 
     variable_names: tuple[str, ...]
@@ -970,7 +523,7 @@ def _generate_count_kernel(
 
 
 def _check_planes_of(ckb: CompiledKB, step: _SweepStep) -> tuple[int, ...]:
-    """Packed plane offsets a check step probes, in dict-kernel order."""
+    """Packed plane offsets a check step probes (undirected plane first)."""
     plane = ckb.label_code[step.label] * 3
     if step.check_direction == "out":
         return (plane + 2, plane)
@@ -1045,13 +598,35 @@ def _compiled_sweep_plan(ckb: CompiledKB, pattern: ExplanationPattern) -> _Compi
     return plan
 
 
-def _sweep_compiled(
-    ckb: CompiledKB,
+def sweep_local_count_distributions(
+    kb: KnowledgeBase,
     pattern: ExplanationPattern,
-    start_entities: Sequence[str] | None,
-    collect_variable_sets: bool,
+    start_entities: Sequence[str] | None = None,
+    collect_variable_sets: bool = False,
 ) -> SweepResult:
-    """The integer-handle twin of the dict ``sweep_local_count_distributions``."""
+    """Evaluate the local-distribution query for many start entities at once.
+
+    Semantically equivalent to running ``iter_pattern_bindings(kb, pattern,
+    {START: s})`` for every ``s`` and grouping the bindings by ``(s, end)``,
+    but the pattern is compiled once per compiled view into a generated loop
+    nest (:func:`_compiled_sweep_plan`, cached), bindings live in local
+    integer slots, and every candidate step is a row of a ``(label,
+    orientation)`` CSR plane — no per-start setup, no per-binding dict
+    copies.  This is the evaluator behind the distributional measures
+    (Section 4.3) and the unpruned Figure 11 scenarios.
+
+    Args:
+        kb: the knowledge base.
+        pattern: the explanation pattern (conjunctive query).
+        start_entities: start entities to sweep; ``None`` sweeps every entity.
+        collect_variable_sets: also gather per-``(start, end)`` per-variable
+            entity sets (needed by the monocount aggregate).
+
+    Returns:
+        A :class:`SweepResult`; starts absent from the knowledge base simply
+        contribute no groups, matching the per-start evaluator.
+    """
+    ckb = compile_kb(kb)
     plan = _compiled_sweep_plan(ckb, pattern)
     variable_sets_h: dict[tuple[int, int], dict[str, set[int]]] | None = (
         {} if collect_variable_sets else None
@@ -1129,8 +704,8 @@ def _sweep_compiled(
     count_kernel = plan.count_kernel
     for start_h in start_iter:
         _deadline_poll()
-        # Each distinct start is evaluated once (duplicates must not double
-        # their groups or the binding count), matching the dict evaluator.
+        # Each distinct start is evaluated once; a duplicated entry in
+        # ``start_entities`` must not double its groups or binding count.
         if start_h in seen:
             continue
         seen.add(start_h)
@@ -1173,65 +748,69 @@ def sweep_position_count(
 ) -> tuple[int, int]:
     """Count the (start, end) groups whose count exceeds ``own_count``.
 
-    This is the inner loop of the unpruned distributional position ranking
-    (and of the executor's sharded sweeps): run the batched sweep over
-    ``start_entities`` and count groups above the pair's own count, skipping
-    ``end == start`` groups and — for the pair's own start only — the pair's
-    own end.  Returns ``(position, bindings_enumerated)``.
+    This is the inner loop of the unpruned distributional position ranking:
+    run the batched sweep over ``start_entities`` and count groups above the
+    pair's own count, skipping ``end == start`` groups and — for the pair's
+    own start only — the pair's own end.  Returns ``(position,
+    bindings_enumerated)``.
 
-    On a :class:`~repro.kb.compiled.CompiledKB` the whole computation stays
-    in handle space: group counts are never decoded to entity strings because
-    the position is just a comparison tally.
+    The whole computation stays in handle space: group counts are never
+    decoded to entity strings because the position is just a comparison
+    tally.
     """
-    if isinstance(kb, CompiledKB):
-        plan = _compiled_sweep_plan(kb, pattern)
-        if plan.impossible:
-            return 0, 0
-        handles = kb.handles
-        if start_entities is None:
-            start_iter: Sequence[int] = range(len(kb.names))
-        else:
-            # encode + dedup in one C-level pass (dict.fromkeys keeps the
-            # first-occurrence order the dict evaluator iterates in)
-            start_iter = dict.fromkeys(
-                handle
-                for handle in map(handles.get, start_entities)
-                if handle is not None
-            )
-        return plan.position_kernel(
-            start_iter,
-            own_count,
-            handles.get(v_start, -1),
-            handles.get(v_end, -1),
+    ckb = compile_kb(kb)
+    plan = _compiled_sweep_plan(ckb, pattern)
+    if plan.impossible:
+        return 0, 0
+    handles = ckb.handles
+    if start_entities is None:
+        start_iter: Sequence[int] = range(len(ckb.names))
+    else:
+        # encode + dedup in one C-level pass (dict.fromkeys keeps the
+        # first-occurrence order)
+        start_iter = dict.fromkeys(
+            handle
+            for handle in map(handles.get, start_entities)
+            if handle is not None
         )
-    sweep = sweep_local_count_distributions(kb, pattern, start_entities)
-    position = 0
-    for start_entity, per_end in sweep.counts.items():
-        exclude_end = v_end if start_entity == v_start else None
-        for end_entity, count in per_end.items():
-            if end_entity == start_entity or end_entity == exclude_end:
-                continue
-            if count > own_count:
-                position += 1
-    return position, sweep.bindings_enumerated
+    return plan.position_kernel(
+        start_iter,
+        own_count,
+        handles.get(v_start, -1),
+        handles.get(v_end, -1),
+    )
 
 
-def _count_qualifying_compiled(
-    ckb: CompiledKB,
+def count_qualifying_end_entities(
+    kb: KnowledgeBase,
     pattern: ExplanationPattern,
     v_start: str,
     threshold: float,
-    exclude_end: str | None,
-    bound: int | None,
+    exclude_end: str | None = None,
+    bound: int | None = None,
 ) -> tuple[int, bool, int]:
-    """Integer-handle twin of the pruned position query.
+    """Count end entities whose group count exceeds ``threshold``, with LIMIT.
 
-    A faithful transliteration of the dict kernel — including the order in
-    which candidate rows are walked and the points at which qualifying groups
-    are folded — so the early-termination bound aborts after exactly the same
-    amount of enumerated work and the returned counters agree bit for bit.
+    The compiled, early-terminating form of the Section 5.3.2 position query
+    (``HAVING count > c ... LIMIT p``) used by the pruned ranking scenarios:
+    evaluation aborts as soon as more than ``bound`` qualifying end entities
+    are known, because the caller only needs to learn that the candidate
+    cannot enter the current top-k.
+
+    Returns:
+        ``(qualifying, exact, bindings_enumerated)`` where ``exact`` is
+        ``False`` when evaluation stopped at the bound (``qualifying`` is then
+        a lower bound that already exceeds ``bound``).
+
+    The traversal is an interpreted walk of the compiled plan (check-step
+    folding, fused leaf levels) with abort plumbing threaded through; it
+    folds groups one candidate at a time so the abort fires as soon as the
+    bound is exceeded.  ``tests/test_indexed_equivalence.py`` pins it, and
+    the batched sweeps, to :func:`iter_pattern_bindings` on random knowledge
+    bases.
     """
     _deadline_poll()
+    ckb = compile_kb(kb)
     start_h = ckb.handles.get(v_start)
     if start_h is None:
         return (0, True, 0)
@@ -1383,39 +962,3 @@ def _count_qualifying_compiled(
 
     aborted = rec(0)
     return (len(qualifying), not aborted, bindings_enumerated)
-
-
-def local_count_distribution(
-    kb: KnowledgeBase,
-    pattern: ExplanationPattern,
-    v_start: str,
-    count_threshold: int | None = None,
-    limit: int | None = None,
-) -> dict[str, int]:
-    """Instance counts of ``pattern`` grouped by end entity (start fixed).
-
-    This is the direct evaluation of the Section 5.3.2 SQL query.  When
-    ``count_threshold`` is given, only end entities whose count exceeds it are
-    returned (the ``HAVING`` clause); when ``limit`` is additionally given the
-    evaluation stops as soon as that many qualifying end entities are known —
-    the pruning used by the position measure.
-
-    Returns:
-        Mapping from end entity to its instance count.  With ``limit`` set the
-        returned counts of qualifying entities are lower bounds (evaluation
-        stopped early), which is all the pruned position computation needs.
-    """
-    counts: dict[str, int] = {}
-    qualifying: set[str] = set()
-    for binding in iter_pattern_bindings(kb, pattern, {START: v_start}):
-        end_entity = binding[END]
-        if end_entity == v_start:
-            continue
-        counts[end_entity] = counts.get(end_entity, 0) + 1
-        if count_threshold is not None and counts[end_entity] > count_threshold:
-            qualifying.add(end_entity)
-            if limit is not None and len(qualifying) >= limit:
-                break
-    if count_threshold is None:
-        return counts
-    return {entity: counts[entity] for entity in qualifying}

@@ -22,18 +22,17 @@ worker *processes*, organised as a **supervised replica fleet**
 * results are **reassembled in submission order** regardless of completion
   order, so callers observe exactly the sequential result list;
 * a KB mutation bumps the version and the next batch **recycles** the fleet:
-  a fresh snapshot is taken and new replicas are spawned, while chunks
-  already in flight on the old fleet finish against their (still internally
-  consistent) old replicas and stay labelled with the old version;
+  a fresh snapshot is taken and new replicas are spawned, while batches
+  already dispatching on the old fleet finish against their (still
+  internally consistent) old replicas and stay labelled with the old
+  version.  Every batch holds a *lease* on the fleet it dispatches to; a
+  recycle only retires the old fleet, which is shut down when its last
+  lease is released, so a version bump never lands as a crash on a batch
+  that is still submitting;
 * a dying worker (OOM-kill, segfault, ``kill -9``) triggers transparent
   **failover** to a surviving replica; only when *every* replica has failed
   does the batch surface :class:`WorkerCrashError` — never a hang — and
   poison the fleet so the next batch recycles it.
-
-Besides whole requests, the executor also shards the *per-pair distributional
-sweeps* of :mod:`repro.ranking.distributional_pruning`:
-:meth:`ParallelBatchExecutor.sweep_positions` splits the start-entity list of
-one position computation across workers and merges the partial positions.
 
 The executor is deliberately independent of the serving engine: it maps plain
 request tuples to ranked tuples and leaves caching, single-flight and outcome
@@ -49,16 +48,14 @@ import pickle
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, ContextManager, Sequence
+from typing import Any, Callable, ContextManager, Iterator, Sequence
 
 from repro import Rex
-from repro.core.pattern import ExplanationPattern
 from repro.enumeration.framework import DEFAULT_SIZE_LIMIT
 from repro.errors import RexError
 from repro.kb.graph import KnowledgeBase
-from repro.kb.sql import sweep_position_count
 from repro.measures.base import Measure
 from repro.obs.trace import Span, Trace, activate_trace, deactivate_trace
 from repro.parallel.snapshot import (
@@ -184,38 +181,6 @@ def _run_chunk(
     return os.getpid(), cpu_seconds, _WORKER["version"], results, trace_export
 
 
-def _run_sweep(
-    pattern: ExplanationPattern,
-    start_entities: Sequence[str],
-    own_count: float,
-    v_start: str,
-    v_end: str,
-    deadline_s: float | None = None,
-) -> tuple[int, float, int, int]:
-    """One shard of a distributional position computation.
-
-    Counts, over this shard's start entities, how many (start, end) groups
-    bind the pattern more often than ``own_count`` — the inner loop of
-    :func:`repro.ranking.distributional_pruning._rank_by_position`, run
-    against the worker's replica.  Returns ``(pid, cpu_seconds, position,
-    bindings_enumerated)``.
-    """
-    rex: Rex = _WORKER["rex"]
-    cpu_started = time.process_time()
-    deadline_token = None
-    if deadline_s is not None:
-        deadline_token = activate_deadline(Deadline(max(deadline_s, 1e-9)))
-    try:
-        position, bindings_enumerated = sweep_position_count(
-            rex.kb, pattern, start_entities, own_count, v_start, v_end
-        )
-    finally:
-        if deadline_token is not None:
-            deactivate_deadline(deadline_token)
-    cpu_seconds = time.process_time() - cpu_started
-    return os.getpid(), cpu_seconds, position, bindings_enumerated
-
-
 # ---------------------------------------------------------------------------
 # Hedge byte-identity.  A hedged chunk runs on two replicas built from the
 # same snapshot, so their *payload* bytes must match; the canonical form
@@ -237,11 +202,6 @@ def _chunk_canonical(result: tuple) -> bytes | None:
         return None
 
 
-def _sweep_canonical(result: tuple) -> tuple[int, int]:
-    _pid, _cpu, position, bindings = result
-    return (position, bindings)
-
-
 # ---------------------------------------------------------------------------
 # Parent-process side.
 # ---------------------------------------------------------------------------
@@ -254,7 +214,6 @@ class ExecutorStats:
     batches: int = 0
     items: int = 0
     chunks: int = 0
-    sweeps: int = 0
     recycles: int = 0
     worker_crashes: int = 0
     #: fleet (re)builds that shipped a checkpoint *path* to the workers
@@ -277,7 +236,6 @@ class ExecutorStats:
             "batches": self.batches,
             "items": self.items,
             "chunks": self.chunks,
-            "sweeps": self.sweeps,
             "recycles": self.recycles,
             "worker_crashes": self.worker_crashes,
             "checkpoint_ships": self.checkpoint_ships,
@@ -339,8 +297,10 @@ class ParallelBatchExecutor:
             cadence, hedge policy, standby, restart backoff, ...).
 
     The executor is thread-safe: concurrent batches share the fleet, and
-    recycling swaps the fleet atomically while in-flight chunks finish on
-    the old one.
+    recycling swaps the fleet atomically.  Every dispatch holds a lease on
+    the fleet it took; a recycle retires the old fleet and shuts it down
+    only when its last lease is released, so a batch that took its fleet
+    just before a recycle still submits to live replicas.
     """
 
     def __init__(
@@ -374,6 +334,10 @@ class ParallelBatchExecutor:
         self._lock = threading.Lock()
         self._fleet: ReplicaFleet | None = None
         self._fleet_version: int | None = None
+        #: fleet -> dispatches currently holding it (absent = no lease).
+        self._leases: dict[ReplicaFleet, int] = {}
+        #: replaced fleets whose shutdown waits for their last lease.
+        self._retired: set[ReplicaFleet] = set()
         self._broken = False
         self._closed = False
 
@@ -476,11 +440,39 @@ class ParallelBatchExecutor:
             self.stats.overlay_ships += 1
         if old_fleet is not None:
             self.stats.recycles += 1
-            # chunks already submitted keep their own references into the old
-            # fleet and finish on it; wait_for_work=False only detaches it
-            old_fleet.shutdown(wait_for_work=False)
+            if self._leases.get(old_fleet):
+                # a dispatch still holds it (possibly not yet submitted):
+                # shutting it down now would fail that submit as a crash
+                self._retired.add(old_fleet)
+            else:
+                # chunks already submitted keep their own references into the
+                # old fleet and finish on it; wait_for_work=False detaches it
+                old_fleet.shutdown(wait_for_work=False)
         self.stats.last_rebuild_s = time.perf_counter() - rebuild_started
         return fleet, version, True
+
+    @contextmanager
+    def _lease(self) -> Iterator[tuple[ReplicaFleet, int]]:
+        """Hold the current fleet (recycled first if stale) for one dispatch.
+
+        Yields ``(fleet, replica_version)``.  A fleet retired by a recycle
+        while leased is shut down here, when its last lease is released.
+        """
+        with self._lock:
+            fleet, version, _ = self._acquire_fleet()
+            self._leases[fleet] = self._leases.get(fleet, 0) + 1
+        try:
+            yield fleet, version
+        finally:
+            with self._lock:
+                remaining = self._leases.pop(fleet) - 1
+                if remaining:
+                    self._leases[fleet] = remaining
+                retire = not remaining and fleet in self._retired
+                if retire:
+                    self._retired.discard(fleet)
+            if retire:
+                fleet.shutdown(wait_for_work=False)
 
     def rebind(self, kb: KnowledgeBase) -> None:
         """Point the executor at a different live-KB object.
@@ -503,9 +495,8 @@ class ParallelBatchExecutor:
         crash-surfacing test kills all of these and asserts the next batch
         fails cleanly rather than being rescued by a surviving spare.
         """
-        with self._lock:
-            fleet, _, _ = self._acquire_fleet()
-        return fleet.worker_pids()
+        with self._lease() as (fleet, _):
+            return fleet.worker_pids()
 
     def close(self) -> None:
         """Shut the fleet down; idempotent.
@@ -552,9 +543,8 @@ class ParallelBatchExecutor:
         roll a freshly booted server.  See
         :meth:`repro.resilience.supervisor.ReplicaFleet.rolling_restart`.
         """
-        with self._lock:
-            fleet, _, _ = self._acquire_fleet()
-        return fleet.rolling_restart(drain_timeout_s, ready_timeout_s)
+        with self._lease() as (fleet, _):
+            return fleet.rolling_restart(drain_timeout_s, ready_timeout_s)
 
     # -- batch execution ---------------------------------------------------
 
@@ -589,65 +579,69 @@ class ParallelBatchExecutor:
         """
         if not items:
             return {}
-        with self._lock:
-            fleet, version, _ = self._acquire_fleet()
-            self.stats.batches += 1
-            self.stats.items += len(items)
-        # Longest-expected-first (greedy LPT): endpoint degree predicts
-        # enumeration cost, so dispatching heavy items first keeps the last
-        # chunks small and the replicas' finish times close together.
-        ordered = sorted(items, key=self._expected_cost, reverse=True)
-        chunk_size = self.chunk_size or max(1, len(ordered) // (self.workers * 4))
-        chunks = [
-            ordered[offset : offset + chunk_size]
-            for offset in range(0, len(ordered), chunk_size)
-        ]
-        results: dict[int, tuple[bool, Any, int]] = {}
-        batch_cpu: dict[int, float] = {}
-        trace_id = trace.trace_id if trace is not None else None
-        dispatch_span = trace.span("dispatch") if trace is not None else None
-        # Ship the coordinator's remaining budget into every chunk so the
-        # cooperative checkpoints keep firing across the process boundary.
-        ambient = current_deadline()
-        deadline_s = ambient.remaining() if ambient is not None else None
-        try:
-            if dispatch_span is not None:
-                dispatch_span.__enter__()
-            tasks = [
-                fleet.submit(_run_chunk, chunk, trace_id, deadline_s)
-                for chunk in chunks
+        with self._lease() as (fleet, _):
+            with self._lock:
+                self.stats.batches += 1
+                self.stats.items += len(items)
+            # Longest-expected-first (greedy LPT): endpoint degree predicts
+            # enumeration cost, so dispatching heavy items first keeps the
+            # last chunks small and the replicas' finish times close together.
+            ordered = sorted(items, key=self._expected_cost, reverse=True)
+            chunk_size = self.chunk_size or max(1, len(ordered) // (self.workers * 4))
+            chunks = [
+                ordered[offset : offset + chunk_size]
+                for offset in range(0, len(ordered), chunk_size)
             ]
-            for task in tasks:
-                pid, cpu_seconds, replica_version, chunk_results, export = (
-                    fleet.result(task, canonical=_chunk_canonical)
-                )
-                batch_cpu[pid] = batch_cpu.get(pid, 0.0) + cpu_seconds
-                for index, ok, value in chunk_results:
-                    results[index] = (ok, value, replica_version)
-                if export is not None and trace is not None and isinstance(dispatch_span, Span):
-                    worker_wall_start, spans = export
-                    # rebase the worker's trace-relative offsets onto this
-                    # trace's timeline via the shared wall clock, clamped to
-                    # the dispatch span's start so minor clock skew cannot
-                    # make a child precede its parent
-                    offset = max(
-                        worker_wall_start - trace.started_wall,
-                        dispatch_span.start_s or 0.0,
+            results: dict[int, tuple[bool, Any, int]] = {}
+            batch_cpu: dict[int, float] = {}
+            trace_id = trace.trace_id if trace is not None else None
+            dispatch_span = trace.span("dispatch") if trace is not None else None
+            # Ship the coordinator's remaining budget into every chunk so the
+            # cooperative checkpoints keep firing across the process boundary.
+            ambient = current_deadline()
+            deadline_s = ambient.remaining() if ambient is not None else None
+            try:
+                if dispatch_span is not None:
+                    dispatch_span.__enter__()
+                tasks = [
+                    fleet.submit(_run_chunk, chunk, trace_id, deadline_s)
+                    for chunk in chunks
+                ]
+                for task in tasks:
+                    pid, cpu_seconds, replica_version, chunk_results, export = (
+                        fleet.result(task, canonical=_chunk_canonical)
                     )
-                    trace.graft(
-                        spans,
-                        parent_index=dispatch_span.index,
-                        base_offset_s=offset,
-                    )
-        except FleetExhausted as crash:
-            self._poison(fleet)
-            raise WorkerCrashError(
-                f"a worker process died while executing a batch of "
-                f"{len(items)} items: {crash}"
-            ) from crash
-        finally:
-            if dispatch_span is not None:
-                dispatch_span.__exit__(None, None, None)
+                    batch_cpu[pid] = batch_cpu.get(pid, 0.0) + cpu_seconds
+                    for index, ok, value in chunk_results:
+                        results[index] = (ok, value, replica_version)
+                    if (
+                        export is not None
+                        and trace is not None
+                        and isinstance(dispatch_span, Span)
+                    ):
+                        worker_wall_start, spans = export
+                        # rebase the worker's trace-relative offsets onto
+                        # this trace's timeline via the shared wall clock,
+                        # clamped to the dispatch span's start so minor clock
+                        # skew cannot make a child precede its parent
+                        offset = max(
+                            worker_wall_start - trace.started_wall,
+                            dispatch_span.start_s or 0.0,
+                        )
+                        trace.graft(
+                            spans,
+                            parent_index=dispatch_span.index,
+                            base_offset_s=offset,
+                        )
+            except FleetExhausted as crash:
+                self._poison(fleet)
+                raise WorkerCrashError(
+                    f"a worker process died while executing a batch of "
+                    f"{len(items)} items: {crash}"
+                ) from crash
+            finally:
+                if dispatch_span is not None:
+                    dispatch_span.__exit__(None, None, None)
         with self._lock:
             self.stats.chunks += len(chunks)
             self.stats.last_batch_worker_cpu_s = dict(batch_cpu)
@@ -656,66 +650,6 @@ class ParallelBatchExecutor:
                     self.stats.worker_cpu_s.get(pid, 0.0) + cpu_seconds
                 )
         return results
-
-    def sweep_positions(
-        self,
-        pattern: ExplanationPattern,
-        start_entities: Sequence[str],
-        own_count: float,
-        v_start: str,
-        v_end: str,
-    ) -> tuple[int, int]:
-        """Shard one distributional position computation across the fleet.
-
-        Splits ``start_entities`` into ``workers`` contiguous shards, counts
-        qualifying (start, end) groups in parallel and sums the partial
-        positions — the unpruned exact sweep of
-        :func:`repro.ranking.distributional_pruning._rank_by_position`.
-
-        Returns:
-            ``(position, bindings_enumerated)``.
-
-        Raises:
-            WorkerCrashError: every replica died mid-sweep.
-        """
-        if not start_entities:
-            return 0, 0
-        with self._lock:
-            fleet, _, _ = self._acquire_fleet()
-            self.stats.sweeps += 1
-        shard_size = max(1, -(-len(start_entities) // self.workers))
-        shards = [
-            start_entities[offset : offset + shard_size]
-            for offset in range(0, len(start_entities), shard_size)
-        ]
-        position = 0
-        bindings = 0
-        ambient = current_deadline()
-        deadline_s = ambient.remaining() if ambient is not None else None
-        try:
-            tasks = [
-                fleet.submit(
-                    _run_sweep, pattern, shard, own_count, v_start, v_end, deadline_s
-                )
-                for shard in shards
-            ]
-            for task in tasks:
-                pid, cpu_seconds, shard_position, shard_bindings = fleet.result(
-                    task, canonical=_sweep_canonical
-                )
-                position += shard_position
-                bindings += shard_bindings
-                with self._lock:
-                    self.stats.worker_cpu_s[pid] = (
-                        self.stats.worker_cpu_s.get(pid, 0.0) + cpu_seconds
-                    )
-        except FleetExhausted as crash:
-            self._poison(fleet)
-            raise WorkerCrashError(
-                f"a worker process died during a sharded position sweep over "
-                f"{len(start_entities)} start entities: {crash}"
-            ) from crash
-        return position, bindings
 
     # -- internals ---------------------------------------------------------
 

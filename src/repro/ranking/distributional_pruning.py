@@ -19,14 +19,6 @@ Two entry points are provided:
 Both return the same rankings as the brute-force Algorithm 5 with the
 corresponding measure; ``prune=False`` switches the early termination off so
 benchmarks can quantify its benefit (Figure 11).
-
-Both entry points also accept an ``executor`` — a
-:class:`repro.parallel.ParallelBatchExecutor` (or anything with its
-``sweep_positions`` signature).  When given, each candidate's start-entity
-sweep is sharded across the executor's worker processes and the partial
-positions merged; the positions are then *exact* (pruning is disabled — the
-running-bound early exit is inherently sequential), so the returned top-k
-ranking is identical to the sequential one.
 """
 
 from __future__ import annotations
@@ -90,15 +82,10 @@ def _rank_by_position(
     prune: bool,
     start_entities_for: "callable",
     measure_name: str,
-    executor=None,
 ) -> RankingResult:
     """Shared scoring loop for local and global position ranking."""
     if k < 1:
         raise RankingError("k must be at least 1")
-    if executor is not None:
-        # sharded sweeps are always exact; the sequential running bound does
-        # not compose with out-of-order partial counts
-        prune = False
     count_measure = CountMeasure()
     scored: list[RankedExplanation] = []
     total_bindings = 0
@@ -118,27 +105,13 @@ def _rank_by_position(
             exact = True
             start_entities = start_entities_for(explanation)
             if bound is None:
-                if executor is not None:
-                    # shard the sweep's start entities across worker processes;
-                    # partial positions sum because (start, end) groups are
-                    # disjoint across start-entity shards
-                    position, shard_bindings = executor.sweep_positions(
-                        explanation.pattern,
-                        list(start_entities),
-                        own_count,
-                        v_start,
-                        v_end,
-                    )
-                    total_bindings += shard_bindings
-                else:
-                    # No pruning bound applies: evaluate every start entity in
-                    # one batched sweep (the pattern is compiled once and the
-                    # traversal shared) instead of one matcher run per start.
-                    # On a compiled backend the tally never leaves handle space.
-                    position, swept_bindings = sweep_position_count(
-                        kb, explanation.pattern, start_entities, own_count, v_start, v_end
-                    )
-                    total_bindings += swept_bindings
+                # No pruning bound applies: evaluate every start entity in one
+                # batched sweep (the pattern is compiled once and the
+                # traversal shared) instead of one matcher run per start.
+                position, swept_bindings = sweep_position_count(
+                    kb, explanation.pattern, start_entities, own_count, v_start, v_end
+                )
+                total_bindings += swept_bindings
             else:
                 for start_entity in start_entities:
                     exclude_end = v_end if start_entity == v_start else None
@@ -185,7 +158,6 @@ def rank_by_local_position(
     v_end: str,
     k: int = 10,
     prune: bool = True,
-    executor=None,
 ) -> RankingResult:
     """Top-k ranking by position in the local distribution.
 
@@ -196,9 +168,6 @@ def rank_by_local_position(
         v_end: end entity of the pair.
         k: size of the returned ranking.
         prune: enable the LIMIT-style early termination of Section 5.3.2.
-        executor: optional :class:`repro.parallel.ParallelBatchExecutor`;
-            shards each sweep across worker processes (disables pruning, the
-            positions are then exact).
     """
     return _rank_by_position(
         kb,
@@ -209,7 +178,6 @@ def rank_by_local_position(
         prune,
         start_entities_for=lambda explanation: [v_start],
         measure_name="local-dist",
-        executor=executor,
     )
 
 
@@ -222,23 +190,22 @@ def rank_by_global_position(
     prune: bool = True,
     num_samples: int = 100,
     seed: int = 13,
-    executor=None,
 ) -> RankingResult:
     """Top-k ranking by position in the sampled global distribution.
 
     The global distribution is estimated by pooling ``num_samples`` local
-    distributions anchored at randomly chosen start entities (plus the pair's
-    own start entity), exactly as in the paper's experiments.  With an
-    ``executor`` the pooled sweep of every candidate is sharded across worker
-    processes (pruning off, exact positions, identical ranking).
+    distributions anchored at randomly chosen start entities other than
+    ``v_start``, exactly as in the paper's experiments.  The pair's own
+    local distribution is not pooled: this is the distribution
+    :class:`~repro.measures.distributional.GlobalDistributionMeasure`
+    computes, so both return the same ranking (docs/performance.md).
     """
     rng = random.Random(seed)
     candidates = [entity for entity in kb.entities if entity != v_start]
     if len(candidates) > num_samples:
-        sampled = rng.sample(candidates, num_samples)
+        start_entities = rng.sample(candidates, num_samples)
     else:
-        sampled = candidates
-    start_entities = [v_start] + sampled
+        start_entities = candidates
 
     return _rank_by_position(
         kb,
@@ -249,5 +216,4 @@ def rank_by_global_position(
         prune,
         start_entities_for=lambda explanation: start_entities,
         measure_name="global-dist",
-        executor=executor,
     )

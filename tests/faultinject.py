@@ -10,10 +10,11 @@ in production:
 * :func:`broken_checkpoint_fs` — a context manager that swaps the
   checkpoint module's ``fsync``/``replace`` seams for ones that raise
   ``EIO``, for exercising checkpoint-write failure handling;
-* :func:`kill_worker_pool` — SIGKILL every live worker of an engine's
-  parallel batch executor, for exercising the retry-with-backoff and
+* :func:`kill_worker_pool` / :func:`kill_fleet` — SIGKILL every live worker
+  of an engine's (or an executor's) replica fleet, with its replacements
+  held until the fleet recycles, for exercising the retry-with-backoff and
   circuit-breaker paths (``tests/test_resilience_chaos.py`` and the
-  resilience benchmark's chaos gate);
+  resilience benchmark's chaos gate) and the executor's crash surfacing;
 * :func:`stop_one_worker` / :func:`resume_worker` / :func:`gray_failure` —
   SIGSTOP a single replica to fake a *gray* failure: the process exists
   (no BrokenProcessPool, no crash), it just never answers.  Only the
@@ -49,6 +50,7 @@ __all__ = [
     "flaky_connection_factory",
     "broken_checkpoint_fs",
     "kill_worker_pool",
+    "kill_fleet",
     "stop_one_worker",
     "resume_worker",
     "gray_failure",
@@ -70,7 +72,24 @@ def kill_worker_pool(engine: Any) -> list[int]:
     """
     executor = engine.executor
     assert executor is not None, "the pool must be spun up before the kill"
+    return kill_fleet(executor)
+
+
+def kill_fleet(executor: Any) -> list[int]:
+    """SIGKILL every worker of ``executor``'s fleet, hot standby included.
+
+    The killed fleet's replacements are held: left alone, the fleet rebuilds
+    its standby as soon as it sees the first death (in tens of
+    milliseconds), and a batch failing over onto that fresh replica
+    succeeds, so whether the next dispatch met the crash would depend on
+    timing.  Held, every replica stays dead until the executor recycles the
+    poisoned fleet, which builds a new fleet that is not held.  Returns the
+    killed pids.
+    """
     pids = list(executor.worker_pids())
+    fleet = executor._fleet
+    fleet._spawn_standby_async = lambda: None
+    fleet._schedule_restart = lambda slot: None
     for pid in pids:
         os.kill(pid, signal.SIGKILL)
     return pids

@@ -1,15 +1,24 @@
-"""Property-based equivalence: the compiled array-backed core vs the dict KB.
+"""The compiled kernels against independent oracles on generator KBs.
 
-PR 4 freezes the knowledge base into CSR planes (:class:`repro.kb.compiled.
-CompiledKB`) and reroutes every hot path — pattern matching, path
-enumeration, the union's merge kernel, the distributional sweeps — onto
-integer handles.  None of that may change a single result.  These tests run
-the full stack over seeded :mod:`repro.workloads` generator knowledge bases
-on **both** backends and assert byte-identical outputs: same explanations
-with the same instance sets, same ranked lists with the same scores, same
-sweep counts, same serving responses (including with the engine sharding
-batches across worker processes, whose replicas are restored from format-2
-snapshots).
+Every read kernel — pattern matching, path enumeration, the union's merge
+kernel, the distributional sweeps — runs on the compiled CSR view, whether
+the caller passes a plain knowledge base or a compiled one.  These tests pin
+those kernels to oracles that read only the plain KB's own API, over seeded
+:mod:`repro.workloads` generator knowledge bases:
+
+* NaiveEnum (Algorithm 1) on the plain KB finds the same explanations, with
+  the same instances, as every PathEnum × PathUnion combination;
+* the matcher, including ``limit=`` prefixes, equals the brute-force
+  ``reference_matches``;
+* sweeps, position counts and the pruned position query equal the grouping
+  of :func:`~repro.kb.sql.iter_pattern_bindings` per start entity;
+* the pruned local- and global-position rankers equal Algorithm 5 with the
+  served local-dist and global-dist measures.
+
+The facade on a plain KB ranks exactly as on a separately compiled view,
+under every served measure.  Worker replicas restored from snapshots, the
+serving engine, and the pickle hygiene of the merge kernel's caches are
+checked against the plain facade.
 """
 
 from __future__ import annotations
@@ -17,24 +26,35 @@ from __future__ import annotations
 import json
 import pickle
 import random
+from functools import partial
 
 import pytest
 
+from test_indexed_equivalence import reference_matches
+
 from repro import Rex
 from repro.core.matcher import match_pattern
+from repro.core.pattern import END, START
 from repro.enumeration.framework import enumerate_explanations
+from repro.enumeration.naive import naive_enum
 from repro.errors import RexError
 from repro.kb.compiled import CompiledKB
 from repro.kb.sql import (
     count_qualifying_end_entities,
+    iter_pattern_bindings,
     sweep_local_count_distributions,
     sweep_position_count,
+)
+from repro.measures.distributional import (
+    GlobalDistributionMeasure,
+    LocalDistributionMeasure,
 )
 from repro.parallel.snapshot import kb_from_payload, kb_to_payload
 from repro.ranking.distributional_pruning import (
     rank_by_global_position,
     rank_by_local_position,
 )
+from repro.ranking.general import rank_explanations
 from repro.service import ExplanationEngine
 from repro.service.serialize import ranked_to_dict
 from repro.workloads import bipartite_kb, clustered_kb, scale_free_kb
@@ -63,6 +83,18 @@ WORKLOADS = [
             seed=seed,
         ),
     ),
+    # Few attributes and labels: plane rows longer than the sweep kernel's
+    # inline-count cutoff, so its C-level row fold runs too.
+    (
+        "hub",
+        lambda seed: bipartite_kb(
+            num_entities=40,
+            num_attributes=4,
+            attributes_per_entity=2,
+            num_labels=2,
+            seed=seed,
+        ),
+    ),
 ]
 
 SEEDS = [0, 1, 2]
@@ -88,14 +120,6 @@ def _connected_pairs(kb, seed: int, count: int) -> list[tuple[str, str]]:
     return pairs
 
 
-def _render_explanations(explanations) -> list:
-    """Order-insensitive byte-comparable rendering of an explanation set."""
-    return sorted(
-        (explanation.pattern.canonical_key, tuple(i.items() for i in explanation.instances))
-        for explanation in explanations
-    )
-
-
 def _render_ranked(ranked) -> str:
     return json.dumps(
         [ranked_to_dict(entry, rank) for rank, entry in enumerate(ranked, start=1)],
@@ -103,59 +127,122 @@ def _render_ranked(ranked) -> str:
     )
 
 
+def _instance_signature(pattern, instance) -> frozenset:
+    """The KB subgraph an instance binds; isomorphic patterns agree on it."""
+    mapping = instance.mapping
+    edges = set()
+    for edge in pattern.edges:
+        source, target = mapping[edge.source], mapping[edge.target]
+        if not edge.directed and target < source:
+            source, target = target, source
+        edges.add((source, target, edge.label, edge.directed))
+    return frozenset(edges)
+
+
+def _by_canonical_key(explanations) -> dict:
+    """Canonical key -> (instance count, set of instance subgraphs)."""
+    keyed = {
+        explanation.pattern.canonical_key: (
+            explanation.num_instances,
+            frozenset(
+                _instance_signature(explanation.pattern, instance)
+                for instance in explanation.instances
+            ),
+        )
+        for explanation in explanations
+    }
+    assert len(keyed) == len(explanations), "duplicate (isomorphic) patterns"
+    return keyed
+
+
+def _reference_groups(kb, pattern, starts) -> tuple[dict, dict, int]:
+    """Per-start grouping of ``iter_pattern_bindings``: the sweep oracle.
+
+    Returns ``(counts, variable_sets, bindings)`` shaped like a
+    :class:`~repro.kb.sql.SweepResult`; duplicate starts count once.
+    """
+    counts: dict[str, dict[str, int]] = {}
+    variable_sets: dict[tuple[str, str], dict[str, set[str]]] = {}
+    bindings = 0
+    for start in dict.fromkeys(starts):
+        per_end: dict[str, int] = {}
+        for binding in iter_pattern_bindings(kb, pattern, {START: start}):
+            bindings += 1
+            end = binding[END]
+            per_end[end] = per_end.get(end, 0) + 1
+            group = variable_sets.setdefault((start, end), {})
+            for variable, entity in binding.items():
+                group.setdefault(variable, set()).add(entity)
+        if per_end:
+            counts[start] = per_end
+    return counts, variable_sets, bindings
+
+
+def _qualifying(per_end: dict, start: str, exclude: str, threshold: float) -> int:
+    return sum(
+        1
+        for end, count in per_end.items()
+        if end != start and end != exclude and count > threshold
+    )
+
+
 @pytest.fixture(params=[(kind, seed) for kind, _ in WORKLOADS for seed in SEEDS],
                 ids=lambda p: f"{p[0]}-{p[1]}", scope="module")
-def backends(request):
+def workload(request):
     kind, seed = request.param
-    factory = dict(WORKLOADS)[kind]
-    kb = factory(seed)
-    return kb, CompiledKB.compile(kb), seed
+    return dict(WORKLOADS)[kind](seed), seed
 
 
-class TestEnumerationEquivalence:
-    def test_all_algorithm_combinations_identical(self, backends):
-        kb, compiled, seed = backends
+class TestEnumerationOracle:
+    #: At size 5 a merge can leave variables unmatched on both sides, which
+    #: is where the instance join's injectivity checks matter.  NaiveEnum on
+    #: the clustered KB costs seconds per pair there, so it stays at 4.
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize(
+        "kind, size_limit",
+        [("scale-free", 5), ("bipartite", 5), ("clustered", 4), ("hub", 5)],
+    )
+    def test_every_path_union_combination_matches_naive_enum(
+        self, kind, size_limit, seed
+    ):
+        kb = dict(WORKLOADS)[kind](seed)
         pairs = _connected_pairs(kb, seed, 2)
         assert pairs, "workload produced no connected pairs"
         for v_start, v_end in pairs:
+            expected = _by_canonical_key(naive_enum(kb, v_start, v_end, size_limit))
             for path_algorithm in ("naive", "basic", "prioritized"):
                 for union_algorithm in ("basic", "prune"):
-                    expected = enumerate_explanations(
-                        kb, v_start, v_end, size_limit=SIZE_LIMIT,
-                        path_algorithm=path_algorithm, union_algorithm=union_algorithm,
-                    )
                     actual = enumerate_explanations(
-                        compiled, v_start, v_end, size_limit=SIZE_LIMIT,
+                        kb, v_start, v_end, size_limit=size_limit,
                         path_algorithm=path_algorithm, union_algorithm=union_algorithm,
                     )
-                    assert _render_explanations(actual.explanations) == (
-                        _render_explanations(expected.explanations)
-                    ), (v_start, v_end, path_algorithm, union_algorithm)
-                    # The traversal layer is a transliteration: even the work
-                    # counters must agree.
-                    assert actual.path_stats == expected.path_stats
+                    assert _by_canonical_key(actual.explanations) == expected, (
+                        v_start, v_end, path_algorithm, union_algorithm,
+                    )
 
-    def test_matcher_identical_including_limit_prefixes(self, backends):
-        kb, compiled, seed = backends
-        pairs = _connected_pairs(kb, seed, 2)
-        for v_start, v_end in pairs:
+    def test_matcher_matches_brute_force_including_limit_prefixes(self, workload):
+        kb, seed = workload
+        for v_start, v_end in _connected_pairs(kb, seed, 2):
             explanations = enumerate_explanations(
                 kb, v_start, v_end, size_limit=SIZE_LIMIT
             ).explanations
             for explanation in explanations[:8]:
-                for limit in (None, 1, 2):
-                    expected = match_pattern(
-                        kb, explanation.pattern, v_start, v_end, limit=limit
-                    )
-                    actual = match_pattern(
-                        compiled, explanation.pattern, v_start, v_end, limit=limit
-                    )
-                    assert [i.items() for i in actual] == [i.items() for i in expected]
+                pattern = explanation.pattern
+                full = [
+                    dict(instance.items())
+                    for instance in match_pattern(kb, pattern, v_start, v_end)
+                ]
+                assert sorted(full, key=lambda m: sorted(m.items())) == (
+                    reference_matches(kb, pattern, v_start, v_end)
+                )
+                for limit in (1, 2):
+                    prefix = match_pattern(kb, pattern, v_start, v_end, limit=limit)
+                    assert [dict(i.items()) for i in prefix] == full[:limit]
 
 
-class TestSweepEquivalence:
-    def test_sweeps_and_position_counts_identical(self, backends):
-        kb, compiled, seed = backends
+class TestSweepOracle:
+    def test_sweeps_and_position_counts_match_bindings(self, workload):
+        kb, seed = workload
         pairs = _connected_pairs(kb, seed, 1)
         rng = random.Random(seed)
         starts = rng.sample(list(kb.entities), min(20, kb.num_entities))
@@ -163,85 +250,144 @@ class TestSweepEquivalence:
             explanations = enumerate_explanations(
                 kb, v_start, v_end, size_limit=SIZE_LIMIT
             ).explanations
+            sweep_starts = starts + [v_start, starts[0]]  # own start + a duplicate
             for explanation in explanations[:10]:
                 pattern = explanation.pattern
-                for collect in (False, True):
-                    expected = sweep_local_count_distributions(
-                        kb, pattern, starts, collect_variable_sets=collect
+                counts, variable_sets, bindings = _reference_groups(
+                    kb, pattern, sweep_starts
+                )
+                swept = sweep_local_count_distributions(kb, pattern, sweep_starts)
+                assert (swept.counts, swept.bindings_enumerated) == (counts, bindings)
+                assert swept.variable_sets is None
+                collected = sweep_local_count_distributions(
+                    kb, pattern, sweep_starts, collect_variable_sets=True
+                )
+                assert collected.counts == counts
+                assert collected.variable_sets == variable_sets
+                for own_count in (0.0, 1.0, 2.0):
+                    position = sum(
+                        _qualifying(
+                            per_end, start, v_end if start == v_start else None,
+                            own_count,
+                        )
+                        for start, per_end in counts.items()
                     )
-                    actual = sweep_local_count_distributions(
-                        compiled, pattern, starts, collect_variable_sets=collect
-                    )
-                    assert actual.counts == expected.counts
-                    assert actual.bindings_enumerated == expected.bindings_enumerated
-                    assert actual.variable_sets == expected.variable_sets
-                assert sweep_position_count(
-                    compiled, pattern, starts, 1.0, v_start, v_end
-                ) == sweep_position_count(kb, pattern, starts, 1.0, v_start, v_end)
-                for threshold in (0, 1.5):
-                    for bound in (None, 0, 2):
-                        assert count_qualifying_end_entities(
-                            compiled, pattern, v_start, threshold,
-                            exclude_end=v_end, bound=bound,
-                        ) == count_qualifying_end_entities(
+                    assert sweep_position_count(
+                        kb, pattern, sweep_starts, own_count, v_start, v_end
+                    ) == (position, bindings)
+
+    def test_position_query_matches_bindings(self, workload):
+        kb, seed = workload
+        for v_start, v_end in _connected_pairs(kb, seed, 1):
+            explanations = enumerate_explanations(
+                kb, v_start, v_end, size_limit=SIZE_LIMIT
+            ).explanations
+            for explanation in explanations[:10]:
+                pattern = explanation.pattern
+                counts, _, bindings = _reference_groups(kb, pattern, [v_start])
+                per_end = counts.get(v_start, {})
+                for threshold in (0, 1, 2):
+                    expected = _qualifying(per_end, v_start, v_end, threshold)
+                    assert count_qualifying_end_entities(
+                        kb, pattern, v_start, threshold, exclude_end=v_end
+                    ) == (expected, True, bindings)
+                    for bound in (0, 2):
+                        qualifying, exact, walked = count_qualifying_end_entities(
                             kb, pattern, v_start, threshold,
                             exclude_end=v_end, bound=bound,
                         )
+                        if exact:
+                            assert (qualifying, walked) == (expected, bindings)
+                        else:
+                            assert bound < qualifying <= expected
+                            assert walked <= bindings
+
+
+class TestRankingOracle:
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize(
+        "ranker, measure",
+        [
+            (rank_by_local_position, LocalDistributionMeasure),
+            (
+                partial(rank_by_global_position, num_samples=15),
+                partial(GlobalDistributionMeasure, num_samples=15),
+            ),
+        ],
+        ids=["local", "global"],
+    )
+    def test_position_ranking_matches_distributional_measure(
+        self, workload, ranker, measure, prune
+    ):
+        """Section 5.3.2's pruned rankers ≡ Algorithm 5 with the served measure."""
+        kb, seed = workload
+        for v_start, v_end in _connected_pairs(kb, seed, 1):
+            explanations = enumerate_explanations(
+                kb, v_start, v_end, size_limit=SIZE_LIMIT
+            ).explanations
+            via_pruning = ranker(kb, explanations, v_start, v_end, k=5, prune=prune)
+            via_measure = rank_explanations(
+                kb, v_start, v_end, measure(), k=5, size_limit=SIZE_LIMIT
+            )
+            assert [
+                (entry.explanation.pattern.canonical_key, entry.value)
+                for entry in via_pruning.ranked
+            ] == [
+                (entry.explanation.pattern.canonical_key, entry.value)
+                for entry in via_measure.ranked
+            ]
 
 
 class TestRankingEquivalence:
     @pytest.mark.parametrize(
-        "measure", ["count", "size", "monocount", "size+monocount", "local-dist"]
+        "measure",
+        [
+            "count",
+            "size",
+            "monocount",
+            "size+monocount",
+            "local-dist",
+            "global-dist",
+            # Fewer samples than entities, so the draw depends on the order
+            # of the KB's entity list.
+            pytest.param(GlobalDistributionMeasure(num_samples=15), id="global-dist-15"),
+            "random-walk",
+            "size+local-dist",
+        ],
     )
-    def test_facade_rankings_identical(self, backends, measure):
-        kb, compiled, seed = backends
-        pairs = _connected_pairs(kb, seed, 2)
-        rex_dict = Rex(kb, size_limit=SIZE_LIMIT)
+    def test_facade_rankings_identical(self, workload, measure):
+        """A plain KB reaches the kernels through ``compile_kb``'s cache while
+        the measures read its own API (global-dist samples from its entity
+        list); the facade must rank exactly as on a separately compiled view."""
+        kb, seed = workload
+        compiled = CompiledKB.compile(kb)
+        rex_plain = Rex(kb, size_limit=SIZE_LIMIT)
         rex_compiled = Rex(compiled, size_limit=SIZE_LIMIT)
-        for v_start, v_end in pairs:
-            expected = rex_dict.explain(v_start, v_end, measure=measure, k=5)
+        for v_start, v_end in _connected_pairs(kb, seed, 2):
+            expected = rex_plain.explain(v_start, v_end, measure=measure, k=5)
             actual = rex_compiled.explain(v_start, v_end, measure=measure, k=5)
             assert _render_ranked(actual) == _render_ranked(expected), (
                 v_start, v_end, measure,
             )
 
-    def test_positional_rankings_identical(self, backends):
-        kb, compiled, seed = backends
-        pairs = _connected_pairs(kb, seed, 1)
-        for v_start, v_end in pairs:
-            explanations = enumerate_explanations(
-                kb, v_start, v_end, size_limit=SIZE_LIMIT
-            ).explanations
-            for ranker, kwargs in (
-                (rank_by_local_position, {"prune": True}),
-                (rank_by_local_position, {"prune": False}),
-                (rank_by_global_position, {"prune": True, "num_samples": 15}),
-                (rank_by_global_position, {"prune": False, "num_samples": 15}),
-            ):
-                expected = ranker(kb, explanations, v_start, v_end, k=5, **kwargs)
-                actual = ranker(compiled, explanations, v_start, v_end, k=5, **kwargs)
-                assert _render_ranked(actual.ranked) == _render_ranked(expected.ranked)
-                assert actual.stats == expected.stats
-
 
 class TestPickleHygiene:
-    def test_merge_kernel_caches_never_cross_the_process_boundary(self, backends):
-        """Explanations produced by the compiled union carry per-process
-        merge caches (including pattern tokens minted by a process-local
-        counter); pickling — what the executor's result path does — must
-        strip them while preserving the explanation value."""
-        kb, compiled, seed = backends
+    def test_merge_kernel_caches_never_cross_the_process_boundary(self, workload):
+        """Explanations produced by the union carry per-process merge caches
+        (including pattern tokens minted by a process-local counter);
+        pickling — what the executor's result path does — must strip them
+        while preserving the explanation value."""
+        kb, seed = workload
         pairs = _connected_pairs(kb, seed, 1)
         v_start, v_end = pairs[0]
         explanations = enumerate_explanations(
-            compiled, v_start, v_end, size_limit=SIZE_LIMIT
+            kb, v_start, v_end, size_limit=SIZE_LIMIT
         ).explanations
         assert any(
-            "_fast_merge_info" in explanation.__dict__ for explanation in explanations
-        ), "compiled union did not populate the caches this test guards"
+            "_merge_info" in explanation.__dict__ for explanation in explanations
+        ), "the union did not populate the caches this test guards"
         restored = pickle.loads(pickle.dumps(explanations))
         for original, copy in zip(explanations, restored):
-            assert "_fast_merge_info" not in copy.__dict__
             assert "_merge_info" not in copy.__dict__
             assert "_assignment_cache" not in copy.__dict__
             assert "_merge_token" not in copy.pattern.__dict__
@@ -250,49 +396,49 @@ class TestPickleHygiene:
 
 
 class TestReplicaAndServingEquivalence:
-    def test_snapshot_replica_answers_identically(self, backends):
-        kb, compiled, seed = backends
-        replica, version = kb_from_payload(kb_to_payload(compiled))
+    def test_snapshot_replica_answers_identically(self, workload):
+        kb, seed = workload
+        replica, version = kb_from_payload(kb_to_payload(CompiledKB.compile(kb)))
         assert version == kb.version
         pairs = _connected_pairs(kb, seed, 2)
-        rex_dict = Rex(kb, size_limit=SIZE_LIMIT)
+        rex_plain = Rex(kb, size_limit=SIZE_LIMIT)
         rex_replica = Rex(replica, size_limit=SIZE_LIMIT)
         for v_start, v_end in pairs:
-            expected = rex_dict.explain(v_start, v_end, k=5)
+            expected = rex_plain.explain(v_start, v_end, k=5)
             actual = rex_replica.explain(v_start, v_end, k=5)
             assert _render_ranked(actual) == _render_ranked(expected)
 
-    def test_engine_serves_dict_facade_results(self, backends):
+    def test_engine_serves_plain_facade_results(self, workload):
         """The engine computes on its cached compile; outputs must match the
-        plain dict facade bit for bit."""
-        kb, _, seed = backends
+        plain-KB facade bit for bit."""
+        kb, seed = workload
         pairs = _connected_pairs(kb, seed, 2)
         engine = ExplanationEngine(kb.copy(), size_limit=SIZE_LIMIT)
-        rex_dict = Rex(kb, size_limit=SIZE_LIMIT)
+        rex_plain = Rex(kb, size_limit=SIZE_LIMIT)
         try:
             for v_start, v_end in pairs:
                 outcome = engine.explain(v_start, v_end, k=5)
-                expected = rex_dict.explain(v_start, v_end, k=5)
+                expected = rex_plain.explain(v_start, v_end, k=5)
                 assert _render_ranked(outcome.ranked) == _render_ranked(expected)
         finally:
             engine.close()
 
-    def test_engine_parallel_batch_matches_dict_facade(self, backends):
+    def test_engine_parallel_batch_matches_plain_facade(self, workload):
         """Worker replicas (format-2 restores) under REX_PARALLELISM=2 return
-        exactly the dict facade's answers, positionally."""
-        kb, _, seed = backends
+        exactly the plain-KB facade's answers, positionally."""
+        kb, seed = workload
         pairs = _connected_pairs(kb, seed, 3)
         requests = [
             {"start": start, "end": end, "k": 3, "size_limit": SIZE_LIMIT}
             for start, end in pairs
         ]
         engine = ExplanationEngine(kb.copy(), size_limit=SIZE_LIMIT, parallelism=2)
-        rex_dict = Rex(kb, size_limit=SIZE_LIMIT)
+        rex_plain = Rex(kb, size_limit=SIZE_LIMIT)
         try:
             results = engine.explain_batch(requests)
             for request, result in zip(requests, results):
                 assert not isinstance(result, RexError), result
-                expected = rex_dict.explain(
+                expected = rex_plain.explain(
                     request["start"], request["end"], k=3, size_limit=SIZE_LIMIT
                 )
                 assert _render_ranked(result.ranked) == _render_ranked(expected)

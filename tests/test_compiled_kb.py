@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import KnowledgeBaseError, UnknownEntityError
-from repro.kb.compiled import CompiledKB, compile_kb
+from repro.kb.compiled import _COMPILED_VIEWS, CompiledKB, compile_kb
 from repro.kb.graph import KnowledgeBase
+from repro.service import ExplanationEngine
 from repro.workloads import clustered_kb, scale_free_kb
 
 
@@ -117,6 +121,49 @@ class TestReadOnly:
     def test_compile_is_idempotent(self, compiled):
         assert CompiledKB.compile(compiled) is compiled
         assert compile_kb(compiled) is compiled
+
+
+class TestCompileCache:
+    def test_one_view_per_kb_version(self):
+        kb = scale_free_kb(num_entities=30, attach_per_entity=2, seed=1)
+        first = compile_kb(kb)
+        assert compile_kb(kb) is first
+        assert first.version == kb.version
+        anchor = next(iter(kb.entities))
+        kb.add_edge("late_arrival", anchor, "rel0")
+        second = compile_kb(kb)
+        assert second is not first
+        assert second.version == kb.version
+        assert second.has_entity("late_arrival")
+        assert compile_kb(kb) is second
+
+    def test_cache_holds_its_kb_weakly(self):
+        kb = scale_free_kb(num_entities=30, attach_per_entity=2, seed=2)
+        view = weakref.ref(compile_kb(kb))
+        assert kb in _COMPILED_VIEWS
+        del kb
+        gc.collect()
+        assert view() is None
+
+    def test_serving_engine_never_fills_the_cache(self):
+        """The engine reads through its own per-version compiled views: a
+        second compiled copy of its KB would double the served footprint."""
+        kb = scale_free_kb(num_entities=60, attach_per_entity=2, seed=3)
+        v_start = next(iter(kb.entities))
+        hop = kb.neighbor_entities(v_start)[0]
+        v_end = next(e for e in kb.neighbor_entities(hop) if e != v_start)
+        engine = ExplanationEngine(kb, size_limit=4)
+        try:
+            for name in engine.measures():
+                engine.explain(v_start, v_end, measure=name, k=3)
+            engine.add_edges([{"source": "late_arrival", "target": v_start,
+                               "label": "rel0"}])
+            for name in engine.measures():
+                engine.explain(v_start, v_end, measure=name, k=3)
+            engine.explain("late_arrival", v_end, k=3)
+            assert engine.kb not in _COMPILED_VIEWS
+        finally:
+            engine.close()
 
 
 class TestBuffers:

@@ -24,7 +24,6 @@ from repro.kb.schema import Schema
 from repro.kb.sql import (
     count_qualifying_end_entities,
     iter_pattern_bindings,
-    local_count_distribution,
     sweep_local_count_distributions,
 )
 from repro.measures.distributional import Distribution, local_aggregate_distribution
@@ -118,19 +117,28 @@ def reference_has_edge(
 def reference_matches(
     kb: KnowledgeBase, pattern: ExplanationPattern, v_start: str, v_end: str
 ) -> list[dict[str, str]]:
-    """Brute force: try every injective assignment of entities to variables."""
+    """Brute force: try every injective assignment of entities to variables.
+
+    Edge tests use a set built once from ``kb.edges()`` with the semantics of
+    :func:`reference_has_edge`: a directed pattern edge needs the KB edge in
+    its direction, an undirected one either direction; undirected KB edges
+    hold both ways.
+    """
+    linked: set[tuple[str, str, str]] = set()
+    for edge in kb.edges():
+        linked.add((edge.source, edge.target, edge.label))
+        if not edge.directed:
+            linked.add((edge.target, edge.source, edge.label))
     non_targets = sorted(pattern.non_target_variables)
     candidates = [entity for entity in kb.entities if entity not in (v_start, v_end)]
     results = []
     for assignment in itertools.permutations(candidates, len(non_targets)):
         binding = {START: v_start, END: v_end, **dict(zip(non_targets, assignment))}
         if all(
-            reference_has_edge(
-                kb,
-                binding[edge.source],
-                binding[edge.target],
-                edge.label,
-                "out" if edge.directed else "any",
+            (binding[edge.source], binding[edge.target], edge.label) in linked
+            or (
+                not edge.directed
+                and (binding[edge.target], binding[edge.source], edge.label) in linked
             )
             for edge in pattern.edges
         ):
@@ -287,19 +295,21 @@ class TestBatchedSweepEquivalence:
         assert doubled.counts == once.counts
         assert doubled.bindings_enumerated == once.bindings_enumerated
 
-    def test_exact_qualifying_counts_match_sweep(self, seed):
-        """The pruned counter (without a bound) agrees with the batched sweep.
+    def test_qualifying_counts_match_per_start_bindings(self, seed):
+        """The pruned position query equals the naive grouping of bindings.
 
-        ``count_qualifying_end_entities`` deliberately mirrors the sweep's
-        traversal with abort plumbing added; this pins the two copies to each
-        other so a fix applied to one cannot silently miss the other.
+        Without a bound the count is exact; with one, evaluation may stop
+        early, and then the count is a lower bound that already exceeds it.
         """
         kb = random_kb(seed)
         pattern = random_pattern(seed)
         rng = random.Random(seed * 23 + 9)
         for v_start in kb.entities:
-            sweep = sweep_local_count_distributions(kb, pattern, (v_start,))
-            per_end = sweep.counts.get(v_start, {})
+            per_end: dict[str, int] = {}
+            total = 0
+            for binding in iter_pattern_bindings(kb, pattern, {START: v_start}):
+                total += 1
+                per_end[binding[END]] = per_end.get(binding[END], 0) + 1
             for threshold in (0.0, 1.0, 2.5):
                 exclude = rng.choice(list(kb.entities))
                 expected = sum(
@@ -310,22 +320,17 @@ class TestBatchedSweepEquivalence:
                 qualifying, exact, bindings = count_qualifying_end_entities(
                     kb, pattern, v_start, threshold, exclude_end=exclude
                 )
-                assert exact
-                assert qualifying == expected
-                assert bindings == sweep.bindings_enumerated
-
-    def test_local_count_distribution_unpruned_matches_sweep(self, seed):
-        kb = random_kb(seed)
-        pattern = random_pattern(seed)
-        for v_start in kb.entities:
-            grouped = local_count_distribution(kb, pattern, v_start)
-            sweep = sweep_local_count_distributions(kb, pattern, (v_start,))
-            expected = {
-                end: count
-                for end, count in sweep.counts.get(v_start, {}).items()
-                if end != v_start
-            }
-            assert grouped == expected
+                assert (qualifying, exact, bindings) == (expected, True, total)
+                for bound in (0, 1, 2):
+                    qualifying, exact, bindings = count_qualifying_end_entities(
+                        kb, pattern, v_start, threshold,
+                        exclude_end=exclude, bound=bound,
+                    )
+                    if exact:
+                        assert (qualifying, bindings) == (expected, total)
+                    else:
+                        assert bound < qualifying <= expected
+                        assert bindings <= total
 
 
 class TestDistributionAccelerators:

@@ -15,9 +15,8 @@ import random
 import pytest
 
 from repro.errors import RexError
-from repro.ranking.distributional_pruning import rank_by_global_position
 from repro.service import ExplanationEngine
-from repro.service.serialize import outcome_to_dict, ranked_to_dict
+from repro.service.serialize import outcome_to_dict
 from repro.workloads import (
     bipartite_kb,
     clustered_kb,
@@ -158,46 +157,3 @@ def test_forced_sequential_flag():
         assert engine.executor is None  # no pool was ever spun up
     finally:
         engine.close()
-
-
-@pytest.mark.parametrize("seed", [6])
-def test_sharded_global_position_ranking_matches(seed):
-    """The executor-sharded distributional sweep ranks identically."""
-    from repro import Rex
-    from repro.parallel import ParallelBatchExecutor
-
-    kb = scale_free_kb(num_entities=150, seed=seed)
-    rex = Rex(kb, size_limit=SIZE_LIMIT)
-    requests = sample_request_stream(kb, 1, seed=seed, size_limit=SIZE_LIMIT)
-    v_start, v_end = requests[0]["start"], requests[0]["end"]
-    explanations = rex.enumerate(v_start, v_end).explanations
-    assert explanations
-
-    sequential = rank_by_global_position(
-        kb, explanations, v_start, v_end, k=5, prune=False, num_samples=40
-    )
-    with ParallelBatchExecutor(kb, workers=2, size_limit=SIZE_LIMIT) as executor:
-        sharded = rank_by_global_position(
-            kb,
-            explanations,
-            v_start,
-            v_end,
-            k=5,
-            prune=True,  # ignored under an executor: sweeps are exact
-            num_samples=40,
-            executor=executor,
-        )
-
-    def render(result):
-        return json.dumps(
-            [
-                ranked_to_dict(entry, rank)
-                for rank, entry in enumerate(result.ranked, start=1)
-            ],
-            sort_keys=True,
-        )
-
-    assert render(sharded) == render(sequential)
-    assert sharded.stats["bindings_enumerated"] == sequential.stats[
-        "bindings_enumerated"
-    ]

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import json
-import os
-import signal
 import time
 
 import pytest
+
+from faultinject import kill_fleet
 
 from repro import Rex
 from repro.errors import RexError
@@ -17,6 +17,7 @@ from repro.parallel import (
     kb_from_payload,
     kb_to_payload,
 )
+from repro.resilience.supervisor import ReplicaFleet
 from repro.service.serialize import ranked_to_dict
 from repro.workloads import sample_request_stream, scale_free_kb
 
@@ -135,6 +136,42 @@ class TestRecycling:
             assert ok and version == kb.version
             assert len(ranked) >= 1
 
+    def test_recycle_between_acquire_and_submit_is_not_a_crash(
+        self, workload_kb, monkeypatch
+    ):
+        """A batch that took its fleet just before a concurrent recycle still
+        submits to live replicas: the recycle retires the old fleet and shuts
+        it down only when the batch releases it, so no crash is booked."""
+        kb = workload_kb.copy()
+        with ParallelBatchExecutor(kb, workers=2, size_limit=SIZE_LIMIT) as pool:
+            items = _items(kb, 4)
+            pool.execute(items)  # build the first fleet
+            version_before = kb.version
+            recycled: list[ReplicaFleet] = []
+            submit = ReplicaFleet.submit
+
+            def recycle_then_submit(fleet, fn, *args):
+                if not recycled:
+                    # the batch holds its fleet and has not submitted yet: a
+                    # writer moves the KB on and another caller recycles
+                    recycled.append(fleet)
+                    kb.add_edge("interleaved", next(iter(kb.entities)), "rel0")
+                    assert pool.ensure_fresh() is True
+                return submit(fleet, fn, *args)
+
+            monkeypatch.setattr(ReplicaFleet, "submit", recycle_then_submit)
+            results = pool.execute(items)
+            assert recycled, "the hook never ran"
+            assert pool.stats.worker_crashes == 0
+            assert pool.stats.recycles == 1
+            # answered on the retired fleet, labelled with its version
+            assert {results[i][:1] + results[i][2:] for i in range(4)} == {
+                (True, version_before)
+            }
+            # the retired fleet was shut down once the batch released it
+            assert recycled[0]._shutdown.is_set()
+            assert pool.pool_version == kb.version
+
     def test_ensure_fresh_is_idempotent(self, executor):
         assert executor.ensure_fresh() is True
         assert executor.ensure_fresh() is False
@@ -146,8 +183,7 @@ class TestCrashSurfacing:
         with ParallelBatchExecutor(workload_kb, workers=2, size_limit=SIZE_LIMIT) as pool:
             items = _items(workload_kb, 4)
             pool.execute(items)  # warm pool
-            for pid in pool.worker_pids():
-                os.kill(pid, signal.SIGKILL)
+            kill_fleet(pool)
             with pytest.raises(WorkerCrashError, match="worker process died"):
                 pool.execute(items)
             assert pool.stats.worker_crashes == 1
@@ -162,42 +198,6 @@ class TestCrashSurfacing:
         with pytest.raises(RuntimeError, match="closed"):
             pool.execute([(0, "a", "b", "size", 1, 2)])
         pool.close()  # idempotent
-
-
-class TestSweep:
-    def test_sharded_sweep_matches_inline(self, executor, workload_kb):
-        from repro.kb.sql import sweep_local_count_distributions
-
-        rex = Rex(workload_kb, size_limit=SIZE_LIMIT)
-        items = _items(workload_kb, 1)
-        _, v_start, v_end, _, _, _ = items[0]
-        ranked = rex.explain(v_start, v_end, k=1, size_limit=SIZE_LIMIT)
-        pattern = ranked[0].explanation.pattern
-        starts = list(workload_kb.entities)[:80]
-        own_count = 1.0
-
-        sweep = sweep_local_count_distributions(workload_kb, pattern, starts)
-        expected = 0
-        for start_entity, per_end in sweep.counts.items():
-            exclude_end = v_end if start_entity == v_start else None
-            for end_entity, count in per_end.items():
-                if end_entity == start_entity or end_entity == exclude_end:
-                    continue
-                if count > own_count:
-                    expected += 1
-
-        position, bindings = executor.sweep_positions(
-            pattern, starts, own_count, v_start, v_end
-        )
-        assert position == expected
-        assert bindings == sweep.bindings_enumerated
-
-    def test_empty_shard(self, executor, workload_kb):
-        rex = Rex(workload_kb, size_limit=SIZE_LIMIT)
-        items = _items(workload_kb, 1)
-        _, v_start, v_end, _, _, _ = items[0]
-        pattern = rex.explain(v_start, v_end, k=1)[0].explanation.pattern
-        assert executor.sweep_positions(pattern, [], 0.0, v_start, v_end) == (0, 0)
 
 
 class TestValidation:

@@ -4,13 +4,22 @@ from __future__ import annotations
 
 import pytest
 
+from repro.datasets.paper_example import PAPER_PAIRS
+from repro.enumeration.framework import enumerate_explanations
 from repro.errors import RankingError
-from repro.measures.distributional import LocalDistributionMeasure
+from repro.measures.distributional import (
+    GlobalDistributionMeasure,
+    LocalDistributionMeasure,
+)
 from repro.ranking.distributional_pruning import (
     rank_by_global_position,
     rank_by_local_position,
 )
-from repro.ranking.general import score_explanations
+from repro.ranking.general import rank_explanations, score_explanations
+
+
+def _keyed(ranked) -> list[tuple]:
+    return [(entry.explanation.pattern.canonical_key, entry.value) for entry in ranked]
 
 
 class TestLocalPositionRanking:
@@ -131,6 +140,31 @@ class TestGlobalPositionRanking:
             k=3, prune=False, num_samples=20,
         )
         assert global_.stats["bindings_enumerated"] > local.stats["bindings_enumerated"]
+
+    @pytest.mark.parametrize("num_samples", [5, 15, 100])
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_matches_general_framework_with_global_measure(
+        self, paper_kb, prune, num_samples
+    ):
+        """The pruned ranker and the served measure pool the same samples.
+
+        Both estimate the global distribution from the local distributions
+        of the sampled start entities only; ``v_start``'s own distribution
+        is not pooled.  Same ranked top-k, with and without pruning.
+        """
+        for v_start, v_end in PAPER_PAIRS:
+            explanations = enumerate_explanations(paper_kb, v_start, v_end).explanations
+            via_pruning = rank_by_global_position(
+                paper_kb, explanations, v_start, v_end,
+                k=5, prune=prune, num_samples=num_samples,
+            )
+            via_measure = rank_explanations(
+                paper_kb, v_start, v_end,
+                GlobalDistributionMeasure(num_samples=num_samples), k=5,
+            )
+            assert _keyed(via_pruning.ranked) == _keyed(via_measure.ranked), (
+                v_start, v_end,
+            )
 
     def test_pruned_out_counter(self, paper_kb, winslet_dicaprio_explanations):
         pruned = rank_by_global_position(

@@ -1,4 +1,4 @@
-"""Tests for pattern-to-SQL compilation and conjunctive evaluation."""
+"""Tests for the conjunctive evaluation of patterns (Section 5.3.2)."""
 
 from __future__ import annotations
 
@@ -8,52 +8,18 @@ from repro.core.matcher import count_matches
 from repro.core.pattern import END, START, ExplanationPattern, PatternEdge
 from repro.errors import RelationalError
 from repro.kb.sql import (
-    compile_pattern_sql,
+    count_qualifying_end_entities,
     iter_pattern_bindings,
-    local_count_distribution,
     pattern_bindings,
+    sweep_local_count_distributions,
 )
+from repro.measures.distributional import local_aggregate_distribution
 
 
 def costar() -> ExplanationPattern:
     return ExplanationPattern.from_edges(
         [PatternEdge("?v0", START, "starring"), PatternEdge("?v0", END, "starring")]
     )
-
-
-class TestCompilePatternSQL:
-    def test_costar_sql_shape(self):
-        compiled = compile_pattern_sql(costar(), "brad_pitt", count_threshold=1)
-        assert "FROM R AS R1, R AS R2" in compiled.text
-        assert "rel = 'starring'" in compiled.text
-        assert "HAVING count > 1" in compiled.text
-        assert "= 'brad_pitt'" in compiled.text
-        assert compiled.table_aliases == ("R1", "R2")
-
-    def test_limit_clause(self):
-        compiled = compile_pattern_sql(costar(), "brad_pitt", count_threshold=0, limit=7)
-        assert compiled.text.rstrip().endswith("LIMIT 7")
-
-    def test_one_alias_per_edge(self):
-        pattern = ExplanationPattern.from_edges(
-            [
-                PatternEdge("?v0", START, "starring"),
-                PatternEdge("?v0", END, "starring"),
-                PatternEdge("?v0", "?v1", "director"),
-                PatternEdge("?v1", END, "award_won"),
-            ]
-        )
-        compiled = compile_pattern_sql(pattern, "x", count_threshold=0)
-        assert len(compiled.table_aliases) == 4
-
-    def test_empty_pattern_rejected(self):
-        with pytest.raises(RelationalError):
-            compile_pattern_sql(ExplanationPattern.from_edges([]), "x", 0)
-
-    def test_pattern_without_end_rejected(self):
-        pattern = ExplanationPattern.from_edges([PatternEdge(START, "?v0", "starring")])
-        with pytest.raises(RelationalError):
-            compile_pattern_sql(pattern, "x", 0)
 
 
 class TestPatternBindings:
@@ -128,25 +94,31 @@ class TestPatternBindings:
             pattern_bindings(paper_kb, pattern, {START: "brad_pitt"})
 
 
-class TestLocalCountDistribution:
+class TestPositionQuery:
+    """The grouped Section 5.3.2 query: counts per end entity, HAVING, LIMIT."""
+
     def test_counts_per_end_entity(self, paper_kb):
-        counts = local_count_distribution(paper_kb, costar(), "brad_pitt")
+        counts = sweep_local_count_distributions(
+            paper_kb, costar(), ["brad_pitt"]
+        ).counts["brad_pitt"]
         assert counts["angelina_jolie"] == 2  # mr_and_mrs_smith + by_the_sea
         assert counts["george_clooney"] == 2  # oceans eleven + twelve
         assert counts["julia_roberts"] == 3
 
     def test_having_threshold(self, paper_kb):
-        qualifying = local_count_distribution(
-            paper_kb, costar(), "brad_pitt", count_threshold=2
+        qualifying, exact, _ = count_qualifying_end_entities(
+            paper_kb, costar(), "brad_pitt", threshold=2
         )
-        assert set(qualifying) == {"julia_roberts"}
+        assert (qualifying, exact) == (1, True)  # only julia_roberts
 
     def test_limit_stops_early(self, paper_kb):
-        qualifying = local_count_distribution(
-            paper_kb, costar(), "brad_pitt", count_threshold=0, limit=2
+        qualifying, exact, _ = count_qualifying_end_entities(
+            paper_kb, costar(), "brad_pitt", threshold=0, bound=1
         )
-        assert len(qualifying) == 2
+        assert not exact
+        assert qualifying == 2  # stopped as soon as the bound was exceeded
 
     def test_start_entity_never_counted(self, paper_kb):
-        counts = local_count_distribution(paper_kb, costar(), "brad_pitt")
-        assert "brad_pitt" not in counts
+        values = local_aggregate_distribution(paper_kb, costar(), "brad_pitt")
+        assert "brad_pitt" not in values
+        assert values["julia_roberts"] == 3.0
