@@ -77,6 +77,9 @@ ORIENT_UNDIRECTED = 2
 ORIENT_CODE = {OUT: ORIENT_OUT, IN: ORIENT_IN, UNDIRECTED: ORIENT_UNDIRECTED}
 _ORIENT_CODE = ORIENT_CODE
 
+#: The row set of a row with no neighbors (shared by overlay-added handles).
+_NO_NEIGHBORS: frozenset[int] = frozenset()
+
 _READ_ONLY_MESSAGE = (
     "CompiledKB is a read-only snapshot; mutate the source KnowledgeBase and "
     "compile a fresh view for the new version"
@@ -841,16 +844,20 @@ class OverlayCompiledKB(CompiledKB):
     adjacency rows their insertion order), base row + appended tail is
     *exactly* the row a from-scratch compile would produce — enumeration
     orders, and therefore every downstream ranking, stay byte-identical.
-    The delta is always **cumulative relative to a root (non-overlay) base**:
-    extending an overlay re-derives from its root, so chains never nest and
-    probe cost stays one extra set lookup.  :meth:`compact` folds the delta
-    back into a full :class:`CompiledKB` (byte-identical to a fresh compile)
-    once the overlay outgrows its threshold.
+    The delta is always **cumulative relative to a root (non-overlay) base**,
+    so chains never nest and probe cost stays one extra set lookup, but each
+    version is built from the *previous* one by copy-on-write
+    (:meth:`_extend`): a write costs its own batch plus C-level copies, and
+    a view held by in-flight readers is never mutated.  Plane tables start
+    from the base's materialised rows and row sets and rebuild only the rows
+    the delta touched.  :meth:`compact` folds the delta back into a full
+    :class:`CompiledKB` (byte-identical to a fresh compile) once the overlay
+    outgrows its threshold.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self._base: CompiledKB = self  # replaced by _from_parts
+        self._base: CompiledKB = self  # replaced by _extend
         self._base_n: int = 0
         self._new_n: int = 0
         self._delta_edges: list[tuple[int, int, int, int]] = []
@@ -866,45 +873,68 @@ class OverlayCompiledKB(CompiledKB):
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def _from_parts(
+    def _extend(
         cls,
-        base: CompiledKB,
+        prev: CompiledKB,
         new_names: list[str],
         new_types: list[str | None],
         new_labels: list[str],
         schema: Schema,
         version: int,
-        delta_edges: list[tuple[int, int, int, int]],
+        batch: list[tuple[int, int, int, int]],
     ) -> "OverlayCompiledKB":
-        """Assemble an overlay from a root base and its append-only tail.
+        """The next version: ``prev`` (a root compile or an overlay) + ``batch``.
 
-        ``delta_edges`` are ``(src, dst, label_code, directed)`` in the
-        *extended* handle/label space, in KB insertion order.
+        ``batch`` holds the ``(src, dst, label_code, directed)`` edges added
+        since ``prev``, in the extended handle/label space and KB insertion
+        order; ``new_names``/``new_labels`` are the entities and labels they
+        introduced.  ``prev``'s side structures are copied at C level (list,
+        dict, set and array copies) and only the entries the batch touches
+        are rebuilt, so the Python work is proportional to the batch, not to
+        the accumulated delta.  Nothing reachable from ``prev`` is mutated.
         """
-        if isinstance(base, OverlayCompiledKB):
-            raise KnowledgeBaseError(
-                "overlay base must be a root CompiledKB; compact the previous "
-                "overlay or extend from its root"
-            )
         started = time.perf_counter()
         overlay = cls()
-        overlay._base = base
+        if isinstance(prev, OverlayCompiledKB):
+            base = prev._base
+            overlay._delta_edges = prev._delta_edges + batch
+            plane_appends = dict(prev._plane_appends)
+            adj_appends = dict(prev._adj_appends)
+            adj_new = list(prev._adj_new)
+            presence_delta = prev.presence_delta
+        else:
+            base = prev
+            overlay._delta_edges = list(batch)
+            plane_appends = {}
+            adj_appends = {}
+            adj_new = []
+            presence_delta = frozenset()
         base_n = base.num_entities
+        prev_n = prev.num_entities
+        overlay._base = base
         overlay._base_n = base_n
-        overlay._new_n = len(new_names)
+        overlay._new_n = prev_n - base_n + len(new_names)
         overlay.schema = schema
         overlay.version = version
-        overlay.names = base.names + new_names
-        handles = dict(base.handles)
-        for offset, name in enumerate(new_names):
-            handles[name] = base_n + offset
-        overlay.handles = handles
-        overlay.types = base.types + new_types
-        overlay.label_of = base.label_of + new_labels
-        label_code = dict(base.label_code)
-        for offset, label in enumerate(new_labels):
-            label_code[label] = len(base.label_of) + offset
-        overlay.label_code = label_code
+        if new_names:
+            overlay.names = prev.names + new_names
+            overlay.types = prev.types + new_types
+            handles = overlay.handles = dict(prev.handles)
+            for offset, name in enumerate(new_names):
+                handles[name] = prev_n + offset
+            adj_new.extend([] for _ in new_names)
+        else:
+            overlay.names = prev.names
+            overlay.types = prev.types
+            overlay.handles = prev.handles
+        if new_labels:
+            overlay.label_of = prev.label_of + new_labels
+            label_code = overlay.label_code = dict(prev.label_code)
+            for offset, label in enumerate(new_labels):
+                label_code[label] = len(prev.label_of) + offset
+        else:
+            overlay.label_of = prev.label_of
+            overlay.label_code = prev.label_code
 
         # shared base structures + packing parameters of the base's presence
         overlay.presence = base.presence
@@ -915,27 +945,22 @@ class OverlayCompiledKB(CompiledKB):
         overlay.adj_neighbors = base.adj_neighbors
         overlay.adj_codes = base.adj_codes
 
-        degrees = base.degrees[:]
+        degrees = prev.degrees[:]
         if new_names:
             degrees.extend(array("i", bytes(4 * len(new_names))))
         overlay.degrees = degrees
+        overlay.edge_src = prev.edge_src + array("i", [edge[0] for edge in batch])
+        overlay.edge_dst = prev.edge_dst + array("i", [edge[1] for edge in batch])
+        overlay.edge_label = prev.edge_label + array("i", [edge[2] for edge in batch])
+        overlay.edge_directed = prev.edge_directed + array(
+            "b", [1 if edge[3] else 0 for edge in batch]
+        )
 
-        overlay.edge_src = base.edge_src[:]
-        overlay.edge_dst = base.edge_dst[:]
-        overlay.edge_label = base.edge_label[:]
-        overlay.edge_directed = base.edge_directed[:]
-
-        overlay._delta_edges = list(delta_edges)
-        overlay._adj_new = [[] for _ in range(len(new_names))]
-        plane_appends = overlay._plane_appends
-        adj_appends = overlay._adj_appends
-        adj_new = overlay._adj_new
-        presence_delta: set[tuple[int, int, int]] = set()
-        for src, dst, code, directed in delta_edges:
-            overlay.edge_src.append(src)
-            overlay.edge_dst.append(dst)
-            overlay.edge_label.append(code)
-            overlay.edge_directed.append(1 if directed else 0)
+        # this batch's appends, grouped by plane and owner in insertion order
+        batch_planes: dict[int, dict[int, list[int]]] = {}
+        batch_adj: dict[int, list[tuple[int, int]]] = {}
+        added: set[tuple[int, int, int]] = set()
+        for src, dst, code, directed in batch:
             if directed:
                 owner_entries = (
                     (src, dst, ORIENT_OUT, code * 4 + 3),
@@ -948,23 +973,34 @@ class OverlayCompiledKB(CompiledKB):
                 )
             for owner, neighbor, orient, step in owner_entries:
                 plane = code * 3 + orient
-                presence_delta.add((owner, neighbor, plane))
-                plane_appends.setdefault(plane, {}).setdefault(owner, []).append(
+                added.add((owner, neighbor, plane))
+                batch_planes.setdefault(plane, {}).setdefault(owner, []).append(
                     neighbor
                 )
-                if owner < base_n:
-                    adj_appends.setdefault(owner, []).append((neighbor, step))
-                else:
-                    adj_new[owner - base_n].append((neighbor, step))
+                batch_adj.setdefault(owner, []).append((neighbor, step))
                 degrees[owner] += 1
-        overlay.presence_delta = frozenset(presence_delta)
+        # copy-on-write: every touched row is a new list (concatenation), so
+        # the lists and dicts ``prev`` holds are shared but never appended to
+        for plane, owners in batch_planes.items():
+            rows = plane_appends[plane] = dict(plane_appends.get(plane, ()))
+            for owner, extra in owners.items():
+                rows[owner] = rows.get(owner, []) + extra
+        for owner, extra in batch_adj.items():
+            if owner < base_n:
+                adj_appends[owner] = adj_appends.get(owner, []) + extra
+            else:
+                adj_new[owner - base_n] = adj_new[owner - base_n] + extra
+        overlay.presence_delta = presence_delta | added
+        overlay._plane_appends = plane_appends
+        overlay._adj_appends = adj_appends
+        overlay._adj_new = adj_new
 
         num_planes = len(overlay.label_of) * 3
-        plane_offsets: list[array | None] = [None] * num_planes
-        plane_neighbors: list[array | None] = [None] * num_planes
-        for plane in range(len(base.plane_offsets)):
-            plane_offsets[plane] = base.plane_offsets[plane]
-            plane_neighbors[plane] = base.plane_neighbors[plane]
+        plane_offsets = list(base.plane_offsets)
+        plane_neighbors = list(base.plane_neighbors)
+        if num_planes > len(plane_offsets):
+            plane_offsets.extend([None] * (num_planes - len(plane_offsets)))
+            plane_neighbors.extend([None] * (num_planes - len(plane_neighbors)))
         overlay.plane_offsets = plane_offsets
         overlay.plane_neighbors = plane_neighbors
 
@@ -976,7 +1012,7 @@ class OverlayCompiledKB(CompiledKB):
                 rank[h] = position
             overlay.sort_rank = rank
         else:
-            overlay.sort_rank = base.sort_rank
+            overlay.sort_rank = prev.sort_rank
 
         overlay.compile_seconds = time.perf_counter() - started
         return overlay
@@ -992,15 +1028,6 @@ class OverlayCompiledKB(CompiledKB):
     def overlay_edges(self) -> int:
         """Number of edges in the delta (the compaction-threshold input)."""
         return len(self._delta_edges)
-
-    def dirty_handles(self) -> set[int]:
-        """Handles whose adjacency the delta touched (endpoints of new edges)."""
-        dirty: set[int] = set()
-        for src, dst, _code, _directed in self._delta_edges:
-            dirty.add(src)
-            dirty.add(dst)
-        dirty.update(range(self._base_n, len(self.names)))
-        return dirty
 
     # -- merged probe surface ------------------------------------------------
 
@@ -1027,6 +1054,19 @@ class OverlayCompiledKB(CompiledKB):
             return "empty"
         return "delegate" if not self._new_n else "merge"
 
+    def _base_tables(
+        self, plane: int, with_sets: bool = False
+    ) -> tuple[list | None, list | None]:
+        """The base's fully materialised tables of ``plane`` (``None`` if empty).
+
+        Materialised once per base and shared by every overlay version built
+        on it, so a version only pays for the rows its own delta touched.
+        """
+        base_offsets = self._base.plane_offsets
+        if plane >= len(base_offsets) or base_offsets[plane] is None:
+            return None, None
+        return self._base.plane_tables(plane, with_sets)
+
     def _plane_lists(self, plane: int) -> tuple[list | None, list | None]:
         rows = self._plane_rows.get(plane)
         if rows is not None:
@@ -1040,20 +1080,20 @@ class OverlayCompiledKB(CompiledKB):
             rows = self._plane_rows.get(plane)
             if rows is not None:
                 return rows, self._plane_row_sets[plane]
-            base = self._base
-            base_offsets = base.plane_offsets
-            if plane < len(base_offsets) and base_offsets[plane] is not None:
-                base_rows, _ = base.plane_tables(plane)
+            base_rows, _ = self._base_tables(plane)
+            if base_rows is not None:
                 merged: list = list(base_rows)
+                # the base's row sets so far, lazily filled ones included
+                sets: list = list(self._base._plane_row_sets[plane])
             else:
                 merged = [()] * self._base_n
+                sets = [None] * self._base_n
             if self._new_n:
                 merged.extend([()] * self._new_n)
-            appends = self._plane_appends.get(plane)
-            if appends:
-                for h, extra in appends.items():
-                    merged[h] = merged[h] + tuple(extra)
-            sets: list = [None] * len(self.names)
+                sets.extend([None] * self._new_n)
+            for h, extra in self._plane_appends.get(plane, {}).items():
+                merged[h] = merged[h] + tuple(extra)
+                sets[h] = None
             self._plane_row_sets[plane] = sets
             self._plane_rows[plane] = merged
             self._plane_rows_complete[plane] = True
@@ -1067,13 +1107,24 @@ class OverlayCompiledKB(CompiledKB):
         rows, sets = self._plane_lists(plane)
         if rows is None:
             return None, None
-        # rows are fully materialised at merge time; only sets may lag
+        # rows are fully materialised at merge time; only sets may lag.  The
+        # complete list is the base's row sets (the same frozenset objects)
+        # with the delta-touched rows and new handles rebuilt, installed by
+        # one slice assignment so a lock-free reader sees each entry either
+        # unfilled or final.
         if with_sets and not self._plane_sets_complete.get(plane):
             with self._plane_lock:
                 if not self._plane_sets_complete.get(plane):
-                    for h, row_set in enumerate(sets):
-                        if row_set is None:
-                            sets[h] = frozenset(rows[h])
+                    _, base_sets = self._base_tables(plane, with_sets=True)
+                    if base_sets is not None:
+                        complete = list(base_sets)
+                    else:
+                        complete = [_NO_NEIGHBORS] * self._base_n
+                    if self._new_n:
+                        complete.extend([_NO_NEIGHBORS] * self._new_n)
+                    for h in self._plane_appends.get(plane, ()):
+                        complete[h] = frozenset(rows[h])
+                    sets[:] = complete
                     self._plane_sets_complete[plane] = True
         return rows, sets
 
@@ -1316,7 +1367,12 @@ class OverlayCompiledKB(CompiledKB):
         delta_edges = [
             (s, d, c, int(flag)) for s, d, c, flag in zip(src, dst, label, directed)
         ]
-        return cls._from_parts(
+        if isinstance(base, OverlayCompiledKB):
+            raise KnowledgeBaseError(
+                "overlay delta must be rebuilt atop a root CompiledKB, not an "
+                "overlay"
+            )
+        return cls._extend(
             base,
             json.loads(names_json),
             json.loads(types_json),
@@ -1338,52 +1394,57 @@ def extend_compiled(prev: CompiledKB, kb: KnowledgeBase) -> OverlayCompiledKB:
     """Extend a compiled view with ``kb``'s append-only tail as an overlay.
 
     ``prev`` is the compiled view of an earlier version of ``kb`` (a root
-    compile or a previous overlay — overlays always re-derive from their
-    root, so deltas accumulate without nesting).  ``kb`` must be the *same*
-    knowledge base later in its append-only history: entities, labels and
-    edges of the base are an exact prefix.  Call under the engine's KB write
-    lock, like :meth:`CompiledKB.compile`.
+    compile or a previous overlay).  ``kb`` must be the *same* knowledge
+    base later in its append-only history: entities, labels and edges of
+    ``prev`` are an exact prefix.  Only the tail past ``prev`` is read, and
+    the new overlay is built from ``prev`` by copy-on-write
+    (:meth:`OverlayCompiledKB._extend`), so a write costs its own batch, not
+    the delta accumulated since the root base.  Call under the engine's KB
+    write lock, like :meth:`CompiledKB.compile`.
     """
     if isinstance(kb, CompiledKB):
         raise KnowledgeBaseError("extend_compiled needs the mutable source KB")
-    base = prev.base if isinstance(prev, OverlayCompiledKB) else prev
-    base_n = base.num_entities
-    base_edges = base.num_edges
+    prev_n = prev.num_entities
+    prev_edges = prev.num_edges
+    prev_labels = len(prev.label_of)
     entities = kb.entities
     labels = kb.relation_labels()
     if (
-        len(entities) < base_n
-        or kb.num_edges < base_edges
-        or len(labels) < len(base.label_of)
-        or (base_n and entities[base_n - 1] != base.names[base_n - 1])
-        or (base.label_of and labels[len(base.label_of) - 1] != base.label_of[-1])
+        len(entities) < prev_n
+        or kb.num_edges < prev_edges
+        or len(labels) < prev_labels
+        or (prev_n and entities[prev_n - 1] != prev.names[prev_n - 1])
+        or (prev_labels and labels[prev_labels - 1] != prev.label_of[-1])
     ):
         raise KnowledgeBaseError(
-            "extend_compiled: KB is not an append-only extension of the base "
-            f"(base version {base.version}, kb version {kb.version})"
+            "extend_compiled: KB is not an append-only extension of the "
+            f"compiled view (view version {prev.version}, kb version "
+            f"{kb.version})"
         )
-    new_names = list(entities[base_n:])
+    new_names = list(entities[prev_n:])
     new_types = [kb._entity_types[name] for name in new_names]  # noqa: SLF001
-    new_labels = labels[len(base.label_of) :]
-    label_code = {label: code for code, label in enumerate(labels)}
+    new_labels = labels[prev_labels:]
+    label_code = prev.label_code
+    if new_labels:
+        label_code = {label: code for code, label in enumerate(labels)}
     handle_of = kb._handles  # noqa: SLF001 - dense handles match by prefix
-    delta_edges = [
+    batch = [
         (
             handle_of[edge.source],
             handle_of[edge.target],
             label_code[edge.label],
             1 if edge.directed else 0,
         )
-        for edge in kb._edges[base_edges:]  # noqa: SLF001
+        for edge in kb._edges[prev_edges:]  # noqa: SLF001
     ]
-    return OverlayCompiledKB._from_parts(
-        base,
+    return OverlayCompiledKB._extend(
+        prev,
         new_names,
         new_types,
         new_labels,
         kb.schema.copy(),
         kb.version,
-        delta_edges,
+        batch,
     )
 
 

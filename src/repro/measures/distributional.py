@@ -38,9 +38,14 @@ from repro.measures.base import Measure, Monotonicity
 __all__ = [
     "Distribution",
     "local_aggregate_distribution",
+    "sample_start_entities",
     "LocalDistributionMeasure",
     "GlobalDistributionMeasure",
 ]
+
+#: Start samples a global-dist measure keeps per KB view before it starts over
+#: (each is ``num_samples`` strings; the draw costs one pass over the entities).
+_MAX_CACHED_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -183,6 +188,26 @@ def _sweep_aggregates(
     return distributions
 
 
+def sample_start_entities(
+    entities: "tuple[str, ...] | list[str]", v_start: str, num_samples: int, seed: int
+) -> list[str]:
+    """The start entities whose local distributions estimate the global one.
+
+    ``num_samples`` entities drawn with ``random.Random(seed).sample`` from
+    ``entities`` in order, ``v_start`` excluded; all of them when at most
+    ``num_samples`` remain (docs/performance.md, "The sampled global
+    distribution").
+    """
+    candidates = list(entities)
+    try:
+        candidates.remove(v_start)  # entities are distinct: drops the one copy
+    except ValueError:
+        pass
+    if len(candidates) <= num_samples:
+        return candidates
+    return random.Random(seed).sample(candidates, num_samples)
+
+
 class LocalDistributionMeasure(Measure):
     """Position of the pair within the local distribution (``M^local_position``).
 
@@ -236,13 +261,35 @@ class GlobalDistributionMeasure(Measure):
         self.aggregate = aggregate
         self.num_samples = num_samples
         self.seed = seed
+        # (entity tuple the draws were made from, {v_start: sample}); replaced
+        # whole, never mutated in place once another view's tuple shows up
+        self._samples: tuple[tuple[str, ...], dict[str, list[str]]] = ((), {})
 
     def _sample_starts(self, kb: KnowledgeBase, v_start: str) -> list[str]:
-        rng = random.Random(self.seed)
-        entities = [entity for entity in kb.entities if entity != v_start]
-        if len(entities) <= self.num_samples:
-            return entities
-        return rng.sample(entities, self.num_samples)
+        """The start sample of ``v_start``, drawn once per KB view.
+
+        Every explanation of a request (and every request against the same
+        view) scores against the same draw, so it is cached per ``v_start``
+        and keyed on the *identity* of ``kb.entities``: compiled views and
+        plain KBs hand out one cached tuple until their entity set changes,
+        so a new view or a grown KB never reuses a stale sample.  The cache
+        holds that tuple, so its identity cannot be recycled.  Concurrent
+        callers may both draw on a miss; the draw is deterministic, so
+        either result is the same list.
+        """
+        entities = kb.entities
+        drawn_from, samples = self._samples
+        if drawn_from is not entities:
+            samples = {}
+            self._samples = (entities, samples)
+        sample = samples.get(v_start)
+        if sample is None:
+            if len(samples) >= _MAX_CACHED_SAMPLES:
+                samples.clear()
+            sample = samples[v_start] = sample_start_entities(
+                entities, v_start, self.num_samples, self.seed
+            )
+        return sample
 
     def distribution(
         self, kb: KnowledgeBase, explanation: Explanation, v_start: str

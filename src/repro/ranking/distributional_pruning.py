@@ -23,7 +23,6 @@ benchmarks can quantify its benefit (Figure 11).
 
 from __future__ import annotations
 
-import random
 from bisect import insort
 from dataclasses import dataclass
 
@@ -32,6 +31,7 @@ from repro.errors import RankingError
 from repro.kb.graph import KnowledgeBase
 from repro.kb.sql import count_qualifying_end_entities, sweep_position_count
 from repro.measures.aggregate import CountMeasure
+from repro.measures.distributional import sample_start_entities
 from repro.obs.trace import span
 from repro.ranking.general import RankedExplanation, RankingResult, _sort_key
 
@@ -200,12 +200,7 @@ def rank_by_global_position(
     :class:`~repro.measures.distributional.GlobalDistributionMeasure`
     computes, so both return the same ranking (docs/performance.md).
     """
-    rng = random.Random(seed)
-    candidates = [entity for entity in kb.entities if entity != v_start]
-    if len(candidates) > num_samples:
-        start_entities = rng.sample(candidates, num_samples)
-    else:
-        start_entities = candidates
+    start_entities = sample_start_entities(kb.entities, v_start, num_samples, seed)
 
     return _rank_by_position(
         kb,

@@ -78,7 +78,7 @@ DEFAULT_MEASURE = "size+monocount"
 #: full compiled base instead of growing the merge-at-probe-time tail.
 DEFAULT_DELTA_COMPACT_EDGES = 1024
 
-#: Depth bound for the dirty-frontier BFS behind scoped cache invalidation.
+#: Depth bound for the write-frontier BFS behind scoped cache invalidation.
 #: Cached entries with a ``size_limit`` beyond this are purged rather than
 #: classified (the walk would cost more than re-enumerating them).
 _SCOPE_MAX_DEPTH = 32
@@ -1092,11 +1092,14 @@ class ExplanationEngine:
             version = kb.version
             purged = retained = 0
             if version != prev_version:
-                overlay, view, compacted = self._apply_delta_compiled(
+                view, compacted = self._apply_delta_compiled(
                     prev_version, kb
                 )
+                touched = {edge.source for edge in new_edges}
+                touched.update(edge.target for edge in new_edges)
+                touched.update(kb.entities[entities_before:])
                 purged, retained = self._purge_after_write(
-                    prev_version, version, overlay, view
+                    prev_version, version, view, frozenset(touched)
                 )
             if self._store is not None:
                 if new_edges or kb.num_entities > entities_before:
@@ -1156,14 +1159,13 @@ class ExplanationEngine:
 
     def _apply_delta_compiled(
         self, prev_version: int, kb: KnowledgeBase
-    ) -> tuple[OverlayCompiledKB | None, CompiledKB | None, CompiledKB | None]:
+    ) -> tuple[CompiledKB | None, CompiledKB | None]:
         """Extend the cached compile across this write (KB write lock held).
 
-        Returns ``(overlay, view, compacted)``: ``overlay`` is the delta view
-        over the root base (the dirty-frontier source), ``view`` is what got
-        installed in the per-version compile cache (the overlay itself, or
-        its compacted base when the delta outgrew ``delta_compact_edges``,
-        in which case ``compacted`` is that base).  All ``None`` when no
+        Returns ``(view, compacted)``: ``view`` is what got installed in the
+        per-version compile cache (the overlay extending the previous view,
+        or its compacted base when the delta outgrew ``delta_compact_edges``,
+        in which case ``compacted`` is that base).  Both ``None`` when no
         compile was cached at ``prev_version`` — nothing to extend; the next
         read pays one full compile, exactly the pre-overlay behaviour.
         """
@@ -1185,7 +1187,7 @@ class ExplanationEngine:
                 self._compiled_versions.clear()
                 self._gauge_compiled_versions.set(0)
                 self._gauge_overlay_edges.set(0)
-                return None, None, None
+                return None, None
             self._delta_merges.inc()
             view: CompiledKB = overlay
             compacted: CompiledKB | None = None
@@ -1204,55 +1206,53 @@ class ExplanationEngine:
             self._gauge_entities.set(view.num_entities)
             self._gauge_edges.set(view.num_edges)
             self._gauge_labels.set(len(view.label_of))
-            return overlay, view, compacted
+            return view, compacted
 
     def _purge_after_write(
         self,
         prev_version: int,
         version: int,
-        overlay: OverlayCompiledKB | None,
         view: CompiledKB | None,
+        touched: frozenset[str],
     ) -> tuple[int, int]:
         """Invalidate the result cache for this write (KB write lock held).
 
-        With an overlay in hand the purge is *scoped*: a cached ranking at
-        ``prev_version`` survives (re-keyed to ``version``) when its measure
-        is declared :attr:`~repro.measures.base.Measure.local_scope` and its
-        start entity lies farther than its ``size_limit`` from every entity
-        the delta touched — every explanation instance contains the start
+        ``touched`` holds this batch's edge endpoints and new entities.  With
+        the new compiled view in hand the purge is *scoped*: a cached
+        ranking at ``prev_version`` survives (re-keyed to ``version``) when
+        its measure is declared :attr:`~repro.measures.base.Measure.local_scope`
+        and its start entity lies farther than its ``size_limit`` from every
+        touched entity — every explanation instance contains the start
         entity and spans at most ``size_limit`` edges, so no instance of
         such an entry can reach a new edge, in the old graph or the new.
-        Anything else (and every write without an overlay) falls back to the
-        full version purge.
+        Only this batch matters: an entry at ``prev_version`` was already
+        valid for ``prev_version``.  Anything else (and every write without
+        a view to walk) falls back to the full version purge.
         """
         survives = None
-        dirty_entities: frozenset[str] = frozenset()
-        if overlay is not None and view is not None:
-            dirty_entities = frozenset(
-                view.names[handle] for handle in overlay.dirty_handles()
-            )
-            survives = self._scope_classifier(overlay, view)
+        if view is not None:
+            survives = self._scope_classifier(touched, view)
         if survives is None:
-            if overlay is not None:
+            if view is not None:
                 self._scoped_purge_fallbacks.inc()
             purged = self.cache.purge_versions_except(version)
             retained = 0
         else:
             purged, retained = self.cache.purge_touched(
-                version, dirty_entities,
+                version, touched,
                 prev_version=prev_version, survives=survives,
             )
         self._gauge_scoped_purges.set(self.cache.stats.scoped_purges)
         return purged, retained
 
     def _scope_classifier(
-        self, overlay: OverlayCompiledKB, view: CompiledKB
+        self, touched: frozenset[str], view: CompiledKB
     ) -> Callable[[Hashable, frozenset | set], bool] | None:
         """A ``survives`` predicate for :meth:`VersionedLRUCache.purge_touched`.
 
-        Runs a bounded multi-source BFS from the delta's dirty handles over
-        the *merged* adjacency (new edges included — a delta edge can pull a
-        previously distant entity into a pair's neighborhood), out to the
+        Runs a bounded multi-source BFS from the write's touched entities
+        over the *merged* adjacency (new edges included — a new edge can pull
+        a previously distant entity into a pair's neighborhood), out to the
         largest ``size_limit`` any cached entry could claim.  Returns ``None``
         when no cached entry can survive anyway (or the required depth
         exceeds ``_SCOPE_MAX_DEPTH``) so the caller takes the cheap full
@@ -1281,7 +1281,8 @@ class ExplanationEngine:
             max_depth = max(max_depth, size_limit)
         if not candidates:
             return None
-        distance: dict[int, int] = {h: 0 for h in overlay.dirty_handles()}
+        handles = view.handles
+        distance: dict[int, int] = {handles[name]: 0 for name in touched}
         frontier = list(distance)
         for hops in range(1, max_depth + 1):
             next_frontier: list[int] = []
@@ -1293,7 +1294,6 @@ class ExplanationEngine:
             frontier = next_frontier
             if not frontier:
                 break
-        handles = view.handles
 
         def survives(key: Hashable, _dirty: frozenset | set) -> bool:
             try:

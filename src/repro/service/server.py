@@ -926,10 +926,19 @@ def serve(
         server.server_close()
 
 
+#: ``serve_forever`` poll interval of :func:`run_in_thread`: ``shutdown()``
+#: waits for the next poll, and the stdlib default (0.5 s) made every
+#: embedded server's teardown wait about that long.
+_THREAD_POLL_INTERVAL_S = 0.05
+
+
 def run_in_thread(server: ExplanationServer) -> threading.Thread:
     """Start ``serve_forever`` on a daemon thread (tests and smoke mode)."""
     thread = threading.Thread(
-        target=server.serve_forever, name="rex-serve", daemon=True
+        target=server.serve_forever,
+        kwargs={"poll_interval": _THREAD_POLL_INTERVAL_S},
+        name="rex-serve",
+        daemon=True,
     )
     thread.start()
     return thread

@@ -13,6 +13,7 @@ mid-warmup write restarts the stale part of the warmup pass.
 from __future__ import annotations
 
 import random
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -74,14 +75,15 @@ class TestOverlayCore:
         assert overlay.version == kb.version
         assert overlay.compact().to_buffers() == CompiledKB.compile(kb).to_buffers()
 
-    def test_second_generation_overlay_rederives_from_root(self, small_kb):
+    def test_second_generation_overlay_keeps_the_root_base(self, small_kb):
         kb = small_kb.copy()
         base = CompiledKB.compile(kb)
         _apply_random_writes(kb, random.Random(2), 5)
         first = extend_compiled(base, kb)
         _apply_random_writes(kb, random.Random(3), 5)
         second = extend_compiled(first, kb)
-        # the chain never nests: the second overlay's base is the root
+        # built from the first overlay, but the chain never nests: the
+        # second overlay's base is the root and its delta is cumulative
         assert second.base is base
         assert second.overlay_edges > first.overlay_edges
         assert second.compact().to_buffers() == CompiledKB.compile(kb).to_buffers()
@@ -135,6 +137,119 @@ class TestOverlayCore:
         wrong = CompiledKB.compile(kb)  # newer version than the recorded base
         with pytest.raises(KnowledgeBaseError):
             OverlayCompiledKB.from_delta_buffers(wrong, buffers)
+
+
+def _all_plane_tables(view: CompiledKB) -> list:
+    return [view.plane_tables(plane, with_sets=True) for plane in range(view.num_planes)]
+
+
+class TestOverlayChain:
+    """Each version extends the previous one by copy-on-write (base = root)."""
+
+    @pytest.mark.parametrize("seed", [3, 17, 58])
+    def test_random_chain_matches_fresh_compile_at_every_generation(
+        self, small_kb, seed
+    ):
+        """A chain of writes adding entities and labels, compacting whenever
+        the delta outgrows a small threshold: every generation's merged
+        buffers and every plane's rows and row sets equal a fresh compile,
+        and after all later extensions each earlier generation still reads
+        exactly its own version."""
+        rng = random.Random(seed)
+        kb = small_kb.copy()
+        view: CompiledKB = CompiledKB.compile(kb)
+        threshold = 12
+        generations: list[tuple[OverlayCompiledKB, tuple]] = []
+        compactions = 0
+        for _ in range(14):
+            _apply_random_writes(kb, rng, rng.randrange(1, 5))
+            overlay = extend_compiled(view, kb)
+            fresh = CompiledKB.compile(kb)
+            assert overlay.version == kb.version
+            assert overlay.compact().to_buffers() == fresh.to_buffers()
+            assert _all_plane_tables(overlay) == _all_plane_tables(fresh)
+            generations.append((overlay, fresh.to_buffers()))
+            view = overlay
+            if overlay.overlay_edges > threshold:
+                view = overlay.compact()
+                compactions += 1
+        assert compactions >= 1
+        for overlay, expected in generations:
+            # rebuilt from the side structures as they are now, not the cache
+            assert overlay._build_compact().to_buffers() == expected
+            rebuilt = OverlayCompiledKB.from_delta_buffers(
+                overlay.base, overlay.delta_buffers()
+            )
+            assert rebuilt.compact().to_buffers() == expected
+
+    def test_extension_copies_nothing_it_does_not_touch(self, small_kb):
+        """An overlay's untouched row sets are the base's own frozensets, and
+        extending an overlay leaves the earlier one's delta as it was."""
+        kb = small_kb.copy()
+        base = CompiledKB.compile(kb)
+        entities = list(kb.entities)
+        label = kb.relation_labels()[0]
+        plane = base.label_code[label] * 3  # the label's out-plane
+        kb.add_edge(entities[0], entities[5], label, directed=True)
+        first = extend_compiled(base, kb)
+        kb.add_edge(entities[1], entities[6], label, directed=True)
+        kb.add_edge(entities[2], "chain_new_entity", label, directed=True)
+        second = extend_compiled(first, kb)
+        assert second.base is base
+        assert first.overlay_edges == 1 and second.overlay_edges == 3
+        assert first.degree(entities[1]) == base.degree(entities[1])
+        assert "chain_new_entity" not in first
+        _, base_sets = base.plane_tables(plane, with_sets=True)
+        for view, touched in ((first, {0}), (second, {0, 1, 2})):
+            rows, sets = view.plane_tables(plane, with_sets=True)
+            assert rows is not base.plane_tables(plane)[0]
+            for h, row_set in enumerate(base_sets):
+                if h in touched:
+                    assert row_set is not sets[h]
+                    assert sets[h] == frozenset(rows[h])
+                else:
+                    assert sets[h] is row_set
+        fresh = CompiledKB.compile(kb)
+        assert _all_plane_tables(second) == _all_plane_tables(fresh)
+
+    def test_concurrent_readers_see_only_final_row_sets(self, small_kb):
+        """Threads filling one overlay's plane tables at once (whole tables
+        and single lazy rows, base tables cold) only ever read final rows."""
+        n_workers = 8
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for attempt in range(20):
+                kb = small_kb.copy()
+                base = CompiledKB.compile(kb)
+                _apply_random_writes(kb, random.Random(attempt), 10)
+                overlay = extend_compiled(base, kb)
+                expected = _all_plane_tables(CompiledKB.compile(kb))
+                planes = range(overlay.num_planes)
+                barrier = threading.Barrier(n_workers, timeout=30)
+
+                def read(worker: int) -> list[tuple]:
+                    barrier.wait()
+                    wrong = []
+                    for plane in list(planes)[worker:] + list(planes)[:worker]:
+                        rows, sets = expected[plane]
+                        if rows is None:
+                            continue
+                        if worker % 2:
+                            got = overlay.plane_tables(plane, with_sets=True)
+                            if got != (rows, sets):
+                                wrong.append((plane, "tables"))
+                        else:
+                            for h in range(len(rows)):
+                                if overlay.plane_row_set(plane, h) != sets[h]:
+                                    wrong.append((plane, h))
+                    return wrong
+
+                with ThreadPoolExecutor(max_workers=n_workers) as pool:
+                    results = list(pool.map(read, range(n_workers), timeout=60))
+                assert results == [[]] * n_workers
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestByteIdentityProperty:
@@ -306,6 +421,33 @@ class TestScopedInvalidation:
             )
             assert second["cache_purged"] == 1
             assert engine.explain("a0", "a2", k=3).cached is False
+        finally:
+            engine.close()
+
+    def test_earlier_writes_do_not_widen_a_later_purge(self):
+        """Only the batch being written can change an entry cached at the
+        previous version: an entry cached after a write next to its start
+        survives a later write far from it, and equals a fresh compute."""
+        kb = _chain_kb("a", 12)
+        _chain_kb("b", 12, kb)
+        engine = ExplanationEngine(kb, size_limit=3)
+        try:
+            engine.explain("a0", "a2", k=3)
+            near = engine.add_edges(
+                [{"source": "a1", "target": "a_near", "label": "linked"}]
+            )
+            assert near["cache_purged"] == 1
+            assert engine.explain("a0", "a2", k=3).cached is False
+            far = engine.add_edges(
+                [{"source": "b10", "target": "b_far", "label": "linked"}]
+            )
+            assert far["cache_retained"] == 1
+            assert far["cache_purged"] == 0
+            outcome = engine.explain("a0", "a2", k=3)
+            assert outcome.cached is True
+            assert outcome.kb_version == far["kb_version"]
+            fresh = Rex(engine.kb.copy(), size_limit=3).explain("a0", "a2", k=3)
+            assert _comparable(outcome.ranked) == _comparable(fresh)
         finally:
             engine.close()
 
