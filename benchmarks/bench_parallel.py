@@ -146,8 +146,10 @@ def _measure_worker_unit_cpu(kb, requests, rounds: int = 2) -> float:
     is built from.  (Built on the raw executor: the engine only shards at
     ``parallelism >= 2``.)
     """
+    from repro.kb.compiled import CompiledKB
     from repro.parallel import ParallelBatchExecutor
 
+    view = CompiledKB.compile(kb)
     items = [
         (
             index,
@@ -160,7 +162,7 @@ def _measure_worker_unit_cpu(kb, requests, rounds: int = 2) -> float:
         for index, request in enumerate(requests)
     ]
     best = float("inf")
-    with ParallelBatchExecutor(kb, workers=1, size_limit=SIZE_LIMIT) as executor:
+    with ParallelBatchExecutor(lambda: view, workers=1, size_limit=SIZE_LIMIT) as executor:
         executor.execute(items[:1])  # build the replica outside the rounds
         for _ in range(rounds):
             executor.execute(items)

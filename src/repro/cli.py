@@ -779,10 +779,11 @@ def serve_main(argv: list[str] | None = None) -> int:
     parser = build_serve_parser()
     args = parser.parse_args(argv)
     try:
-        kb = _load_kb(args)
+        # the KB goes straight into the engine, which keeps only its compiled
+        # view: no local here holds the dict graph while serving
         if args.smoke:
             engine = ExplanationEngine(
-                kb,
+                _load_kb(args),
                 size_limit=args.size_limit,
                 cache_capacity=args.cache_capacity,
                 cache_ttl=args.cache_ttl,
@@ -810,8 +811,10 @@ def serve_main(argv: list[str] | None = None) -> int:
             value = getattr(args, knob)
             if value is not None:
                 serve_kwargs[knob] = value
+        # a loader, not the KB: the call's arguments stay referenced here for
+        # as long as the server runs
         serve(
-            kb,
+            lambda: _load_kb(args),
             host=args.host,
             port=args.port,
             size_limit=args.size_limit,

@@ -10,14 +10,17 @@ File layout (all integers little-endian)::
 
     offset  size  field
     0       8     magic  b"REXCKPT1"
-    8       8     container format (1)
+    8       8     container format (2)
     16      8     kb version the planes were compiled at
     24      8     num_entities   (redundant, for `checkpoint_info` display)
     32      8     num_edges
     40      8     payload length in bytes
     48      32    sha256 of the payload
-    80      ...   payload: pickled snapshot payload (format 2 plane buffers,
-                  exactly what `parallel.snapshot.kb_to_payload` produces)
+    80      ...   payload: the pickled plane buffers of
+                  `CompiledKB.to_buffers()`
+
+Container format 1 pickled a whole snapshot payload (format tag plus the
+buffers); a format-1 file is rejected like any other unusable checkpoint.
 
 Write protocol: serialise to a temp file in the destination directory, flush,
 ``fsync``, then ``os.replace`` onto the final name and fsync the directory.
@@ -51,12 +54,6 @@ from repro.kb.compiled import CompiledKB
 from repro.kb.graph import KnowledgeBase
 from repro.obs.trace import span
 
-# NOTE: repro.parallel.snapshot is imported lazily inside the functions below.
-# This module is pulled in by the repro.kb package init, which runs while
-# `repro/__init__` is still executing; repro.parallel's init imports
-# `from repro import Rex`, so a top-level import here would close an import
-# cycle before Rex is defined.
-
 __all__ = [
     "save_checkpoint",
     "load_checkpoint",
@@ -67,7 +64,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"REXCKPT1"
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 #: Fixed name used inside a checkpoint directory: `os.replace` onto one name
 #: makes publication atomic and leaves nothing to garbage-collect.
 CHECKPOINT_FILENAME = "kb.ckpt"
@@ -100,11 +97,9 @@ def save_checkpoint(kb: KnowledgeBase | CompiledKB, path: str | Path) -> Compile
 
 
 def _save_checkpoint(kb: KnowledgeBase | CompiledKB, path: str | Path) -> CompiledKB:
-    from repro.parallel.snapshot import kb_to_payload
-
     path = Path(path)
     compiled = CompiledKB.compile(kb)
-    payload = pickle.dumps(kb_to_payload(compiled), protocol=pickle.HIGHEST_PROTOCOL)
+    payload = pickle.dumps(compiled.to_buffers(), protocol=pickle.HIGHEST_PROTOCOL)
     header = _HEADER.pack(
         CHECKPOINT_MAGIC,
         CHECKPOINT_FORMAT,
@@ -195,8 +190,6 @@ def load_checkpoint(
 def _load_checkpoint(
     path: str | Path, expected_version: int | None = None
 ) -> CompiledKB:
-    from repro.parallel.snapshot import kb_from_payload
-
     path = Path(path)
     try:
         with open(path, "rb") as handle:
@@ -228,10 +221,9 @@ def _load_checkpoint(
                     try:
                         # pickle copies out of the mapping, so the planes do
                         # not keep the file mapped after this returns
-                        payload = pickle.loads(payload_view)
-                        compiled, payload_version = kb_from_payload(payload)
-                    except CheckpointError:
-                        raise
+                        compiled = CompiledKB.from_buffers(
+                            pickle.loads(payload_view)
+                        )
                     except Exception as error:
                         raise CheckpointError(
                             f"checkpoint {str(path)!r} payload is corrupt: {error}"
@@ -248,11 +240,11 @@ def _load_checkpoint(
         raise CheckpointError(
             f"cannot read checkpoint {str(path)!r}: {error}"
         ) from error
-    if payload_version != version or compiled.num_entities != num_entities:
+    if compiled.version != version or compiled.num_entities != num_entities:
         raise CheckpointError(
             f"checkpoint {str(path)!r} header disagrees with its payload "
             f"(header v{version}/{num_entities} entities, payload "
-            f"v{payload_version}/{compiled.num_entities} entities)"
+            f"v{compiled.version}/{compiled.num_entities} entities)"
         )
     return compiled
 

@@ -38,9 +38,12 @@ those API boundaries — so NaiveEnum and the other KB-API readers run on it
 unchanged.
 
 :meth:`CompiledKB.to_buffers` / :meth:`CompiledKB.from_buffers` round-trip
-the arrays as ``tobytes()`` blobs, which is what snapshot payload format 2
-(:mod:`repro.parallel.snapshot`) ships to worker processes: restoring a
+the arrays as ``tobytes()`` blobs, which is what checkpoints
+(:mod:`repro.kb.checkpoint`) store and snapshot payloads
+(:mod:`repro.parallel.snapshot`) ship to worker processes: restoring a
 replica is a handful of ``frombytes`` calls instead of N× ``add_edge``.
+:func:`extend_compiled` builds the next version of a view straight from a
+write batch, so the serving engine never holds a mutable KB.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import json
 import threading
 import time
 from array import array
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 from weakref import WeakKeyDictionary
 
 import networkx as nx
@@ -69,7 +72,7 @@ __all__ = [
 #: Orientation codes of the CSR planes (relative to the row's owning node).
 #: A ``(label, orientation)`` plane lives at ``label_code * 3 + orientation``;
 #: this contract is load-bearing for plane selection, the packed presence
-#: keys and snapshot format 2, so every kernel imports :data:`ORIENT_CODE`
+#: keys and the shipped buffers, so every kernel imports :data:`ORIENT_CODE`
 #: from here instead of restating the mapping.
 ORIENT_OUT = 0
 ORIENT_IN = 1
@@ -81,8 +84,8 @@ _ORIENT_CODE = ORIENT_CODE
 _NO_NEIGHBORS: frozenset[int] = frozenset()
 
 _READ_ONLY_MESSAGE = (
-    "CompiledKB is a read-only snapshot; mutate the source KnowledgeBase and "
-    "compile a fresh view for the new version"
+    "CompiledKB is a read-only snapshot; extend_compiled builds the view of "
+    "the next version"
 )
 
 
@@ -281,9 +284,9 @@ class CompiledKB:
     def to_buffers(self) -> tuple[Any, ...]:
         """The compiled arrays as a tuple of plain bytes/str/int values.
 
-        This is the body of snapshot payload format 2: every array ships as
-        one ``tobytes()`` blob (a single memcpy each way), the string tables
-        as JSON, and the schema as the same plain tuples format 1 used.
+        This is the body of checkpoints and of a snapshot payload's base:
+        every array ships as one ``tobytes()`` blob (a single memcpy each
+        way), the string tables as JSON, and the schema as plain tuples.
         """
         relations = tuple(
             (relation.name, relation.directed, relation.domain, relation.range)
@@ -508,6 +511,20 @@ class CompiledKB:
         """
         return (src * self.presence_n + dst) * self._presence_stride + plane
 
+    def has_plane_entry(self, src: int, dst: int, plane: int) -> bool:
+        """Whether row ``src`` of ``plane`` holds ``dst``.
+
+        An exact probe of one ``(label, orientation)`` plane, unlike
+        :meth:`has_edge`, where an undirected edge answers a directed probe
+        too.  Base edges are looked up packed, overlay-added ones in
+        :attr:`presence_delta`.
+        """
+        pn = self.presence_n
+        if src < pn and dst < pn and plane < self.presence_planes:
+            if (src * pn + dst) * self._presence_stride + plane in self.presence:
+                return True
+        return (src, dst, plane) in self.presence_delta
+
     def plane_tables(
         self, plane: int, with_sets: bool = False
     ) -> tuple[list | None, list | None]:
@@ -654,9 +671,6 @@ class CompiledKB:
             and (orientation is None or entry.orientation == orientation)
         ]
 
-    def iter_neighbors(self, entity: str) -> Sequence[NeighborEntry]:
-        return self._entries_of(self._require_handle(entity))
-
     def neighbor_ids(self, entity: str, label: str, orientation: str) -> Sequence[str]:
         h = self.handles.get(entity)
         if h is None:
@@ -667,9 +681,6 @@ class CompiledKB:
             return ()
         names = self.names
         return tuple(names[nh] for nh in self.plane_row(code * 3 + orient, h))
-
-    def edges_with_label(self, label: str) -> Sequence[Edge]:
-        return [edge for edge in self.edges() if edge.label == label]
 
     def traversal_steps(self, entity: str) -> tuple[tuple[str, str, bool, bool], ...]:
         h = self._require_handle(entity)
@@ -685,14 +696,6 @@ class CompiledKB:
                 for entry in self._entries_of(h)
             )
         return steps
-
-    def neighbor_entities(self, entity: str) -> list[str]:
-        h = self._require_handle(entity)
-        seen: dict[int, None] = {}
-        for nh, _code in self.adj_pairs(h):
-            seen.setdefault(nh, None)
-        names = self.names
-        return [names[nh] for nh in seen]
 
     def degree(self, entity: str) -> int:
         return self.degrees[self._require_handle(entity)]
@@ -735,11 +738,6 @@ class CompiledKB:
                 plane + ORIENT_IN,
             ) in delta
         return (src, dst, plane + orient) in delta
-
-    def edges_between(self, source: str, target: str) -> list[NeighborEntry]:
-        entries = self._entries_of(self._require_handle(source))
-        self._require_handle(target)
-        return [entry for entry in entries if entry.neighbor == target]
 
     def relation_labels(self) -> list[str]:
         return list(self.label_of)
@@ -786,15 +784,6 @@ class CompiledKB:
                 graph.add_edge(edge.target, edge.source, label=edge.label, directed=False)
         return graph
 
-    def thaw(self) -> KnowledgeBase:
-        """Rebuild a mutable :class:`KnowledgeBase` equal to this snapshot."""
-        kb = KnowledgeBase(schema=self.schema.copy())
-        for name, entity_type in zip(self.names, self.types):
-            kb.add_entity(name, entity_type)
-        for edge in self.edges():
-            kb.add_edge(edge.source, edge.target, edge.label, edge.directed)
-        return kb
-
     # -- mutation guards ----------------------------------------------------
 
     def add_entity(self, *args, **kwargs):
@@ -827,7 +816,8 @@ class OverlayCompiledKB(CompiledKB):
     """A compiled view expressed as a root base plus a small sorted delta.
 
     Instead of recompiling every CSR plane when a write batch lands, the
-    engine extends the previous compiled view with the KB's append-only tail:
+    engine extends the previous compiled view with the write batch
+    (:func:`extend_compiled`):
     the base's big structures (plane CSR arrays, the packed presence set, the
     traversal CSR) are **shared untouched**, and the delta lives in small
     side structures merged at probe time —
@@ -839,7 +829,7 @@ class OverlayCompiledKB(CompiledKB):
     * ``_adj_appends`` / ``_adj_new`` — traversal-CSR row extensions served
       through :meth:`adj_pairs`.
 
-    Because :class:`~repro.kb.graph.KnowledgeBase` is append-only (entities
+    Because the KB is append-only (entities
     keep their dense insertion-order handles, labels their first-use codes,
     adjacency rows their insertion order), base row + appended tail is
     *exactly* the row a from-scratch compile would produce — enumeration
@@ -1277,15 +1267,15 @@ class OverlayCompiledKB(CompiledKB):
     # -- shipping ------------------------------------------------------------
 
     def to_buffers(self) -> tuple[Any, ...]:
-        """Format-2 body of the *merged* view (via :meth:`compact`)."""
+        """Buffers of the *merged* view (via :meth:`compact`)."""
         return self.compact().to_buffers()
 
     def delta_buffers(self) -> tuple[Any, ...]:
-        """The delta alone, as plain bytes/str/int values (format-4 body).
+        """The delta alone, as plain bytes/str/int values (a payload's delta).
 
-        Together with the root base — shipped once as a checkpoint path —
-        this reconstructs the overlay in a worker without re-sending the full
-        planes per write.
+        Together with the root base (a checkpoint path or its buffers), this
+        reconstructs the overlay in a worker, so a checkpointed base is not
+        re-sent after every write.
         """
         relations = tuple(
             (relation.name, relation.directed, relation.domain, relation.range)
@@ -1390,60 +1380,95 @@ class OverlayCompiledKB(CompiledKB):
         )
 
 
-def extend_compiled(prev: CompiledKB, kb: KnowledgeBase) -> OverlayCompiledKB:
-    """Extend a compiled view with ``kb``'s append-only tail as an overlay.
+def extend_compiled(
+    prev: CompiledKB, edges: Iterable[tuple[str, str, str, bool | None]]
+) -> CompiledKB:
+    """The view after ``add_edge(source, target, label, directed)`` of each edge.
 
-    ``prev`` is the compiled view of an earlier version of ``kb`` (a root
-    compile or a previous overlay).  ``kb`` must be the *same* knowledge
-    base later in its append-only history: entities, labels and edges of
-    ``prev`` are an exact prefix.  Only the tail past ``prev`` is read, and
-    the new overlay is built from ``prev`` by copy-on-write
-    (:meth:`OverlayCompiledKB._extend`), so a write costs its own batch, not
-    the delta accumulated since the root base.  Call under the engine's KB
-    write lock, like :meth:`CompiledKB.compile`.
+    ``edges`` are applied in order with the semantics of
+    :meth:`KnowledgeBase.add_edge`, on ``prev`` (a root compile or an
+    overlay) instead of a mutable KB:
+
+    * directedness resolves through a copy of ``prev``'s schema, and a label
+      the schema does not know is declared at its first edge (directed
+      unless the edge says otherwise);
+    * unknown endpoints become new, untyped entities, source before target;
+    * an edge is dropped when the view or an earlier edge of the batch
+      already holds its :meth:`~repro.kb.graph.Edge.key`: a directed and an
+      undirected edge with the same endpoints and label are two edges;
+    * labels new to the view take the next codes in first-use order.
+
+    The batch, in the extended handle and label space, goes to
+    :meth:`OverlayCompiledKB._extend`, so a write costs its own edges.  The
+    new view's version is ``prev.version`` plus one per new entity and per
+    new edge, the version a mutable KB replaying the same calls reaches.
+    Returns ``prev`` itself when every edge was already present.
+
+    Raises:
+        KnowledgeBaseError: an edge ``add_edge`` would reject; ``prev`` and
+            everything it references stay as they were.
     """
-    if isinstance(kb, CompiledKB):
-        raise KnowledgeBaseError("extend_compiled needs the mutable source KB")
-    prev_n = prev.num_entities
-    prev_edges = prev.num_edges
-    prev_labels = len(prev.label_of)
-    entities = kb.entities
-    labels = kb.relation_labels()
-    if (
-        len(entities) < prev_n
-        or kb.num_edges < prev_edges
-        or len(labels) < prev_labels
-        or (prev_n and entities[prev_n - 1] != prev.names[prev_n - 1])
-        or (prev_labels and labels[prev_labels - 1] != prev.label_of[-1])
-    ):
-        raise KnowledgeBaseError(
-            "extend_compiled: KB is not an append-only extension of the "
-            f"compiled view (view version {prev.version}, kb version "
-            f"{kb.version})"
-        )
-    new_names = list(entities[prev_n:])
-    new_types = [kb._entity_types[name] for name in new_names]  # noqa: SLF001
-    new_labels = labels[prev_labels:]
+    schema = prev.schema.copy()
+    handles = prev.handles
     label_code = prev.label_code
-    if new_labels:
-        label_code = {label: code for code, label in enumerate(labels)}
-    handle_of = kb._handles  # noqa: SLF001 - dense handles match by prefix
-    batch = [
-        (
-            handle_of[edge.source],
-            handle_of[edge.target],
-            label_code[edge.label],
-            1 if edge.directed else 0,
-        )
-        for edge in kb._edges[prev_edges:]  # noqa: SLF001
-    ]
+    prev_n = prev.num_entities
+    new_names: list[str] = []
+    new_handles: dict[str, int] = {}
+    new_labels: list[str] = []
+    new_codes: dict[str, int] = {}
+    seen: set[tuple[str, str, str, bool]] = set()
+    batch: list[tuple[int, int, int, int]] = []
+
+    def handle_of(name: str) -> int:
+        h = handles.get(name)
+        if h is None:
+            h = new_handles.get(name)
+            if h is None:
+                h = new_handles[name] = prev_n + len(new_names)
+                new_names.append(name)
+        return h
+
+    for source, target, label, directed in edges:
+        KnowledgeBase.validate_edge_args(source, target, label, directed)
+        if directed is None:
+            if schema.has_relation(label):
+                directed = schema.is_directed(label)
+            else:
+                directed = True
+                schema.declare_relation(label, directed=True)
+        elif not schema.has_relation(label):
+            schema.declare_relation(label, directed=directed)
+        src = handle_of(source)
+        dst = handle_of(target)
+        key = Edge(source, target, label, directed).key()
+        if key in seen:
+            continue
+        code = label_code.get(label)
+        if (
+            code is not None
+            and src < prev_n
+            and dst < prev_n
+            and prev.has_plane_entry(
+                src, dst, code * 3 + (ORIENT_OUT if directed else ORIENT_UNDIRECTED)
+            )
+        ):
+            continue
+        seen.add(key)
+        if code is None:
+            code = new_codes.get(label)
+            if code is None:
+                code = new_codes[label] = len(prev.label_of) + len(new_labels)
+                new_labels.append(label)
+        batch.append((src, dst, code, 1 if directed else 0))
+    if not batch:
+        return prev
     return OverlayCompiledKB._extend(
         prev,
         new_names,
-        new_types,
+        [None] * len(new_names),
         new_labels,
-        kb.schema.copy(),
-        kb.version,
+        schema,
+        prev.version + len(new_names) + len(batch),
         batch,
     )
 

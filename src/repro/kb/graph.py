@@ -123,9 +123,8 @@ class KnowledgeBase:
         self._label_index: dict[str, dict[tuple[str, str], list[str]]] = {}
         # (source, target, label, orientation-as-seen-from-source) presence set
         self._edge_presence: set[tuple[str, str, str, str]] = set()
-        # label -> edges carrying it, in insertion order (global label index)
-        self._edges_by_label: dict[str, list[Edge]] = {}
-        # label -> number of edges (incremental label-frequency table)
+        # label -> number of edges, in first-use order (incremental
+        # label-frequency table; its key order is `relation_labels()`)
         self._label_counts: dict[str, int] = {}
         # entity id -> dense integer handle; handle -> entity id
         self._handles: dict[str, int] = {}
@@ -198,7 +197,6 @@ class KnowledgeBase:
             return edge
         self._edge_keys.add(edge.key())
         self._edges.append(edge)
-        self._edges_by_label.setdefault(label, []).append(edge)
         self._label_counts[label] = self._label_counts.get(label, 0) + 1
         if directed:
             pairs = ((source, target, OUT), (target, source, IN))
@@ -327,15 +325,6 @@ class KnowledgeBase:
             and (orientation is None or entry.orientation == orientation)
         ]
 
-    def iter_neighbors(self, entity: str) -> Sequence[NeighborEntry]:
-        """The adjacency list of ``entity`` without a defensive copy.
-
-        Hot-path variant of :meth:`neighbors`: the returned sequence is the
-        live internal list and must not be mutated by the caller.
-        """
-        self._require_entity(entity)
-        return self._adjacency[entity]
-
     def neighbor_ids(
         self, entity: str, label: str, orientation: str
     ) -> Sequence[str]:
@@ -350,10 +339,6 @@ class KnowledgeBase:
             self._require_entity(entity)
             return ()
         return entry.get((label, orientation), ())
-
-    def edges_with_label(self, label: str) -> Sequence[Edge]:
-        """All edges carrying ``label``, in insertion order (live view)."""
-        return self._edges_by_label.get(label, ())
 
     def traversal_steps(
         self, entity: str
@@ -381,14 +366,6 @@ class KnowledgeBase:
             self._traversal_cache[entity] = steps
         return steps
 
-    def neighbor_entities(self, entity: str) -> list[str]:
-        """Distinct neighbouring entity ids of ``entity``."""
-        self._require_entity(entity)
-        seen: dict[str, None] = {}
-        for entry in self._adjacency[entity]:
-            seen.setdefault(entry.neighbor, None)
-        return list(seen)
-
     def degree(self, entity: str) -> int:
         """Number of incident edges (each undirected edge counted once)."""
         self._require_entity(entity)
@@ -414,17 +391,9 @@ class KnowledgeBase:
             )
         return (source, target, label, direction) in presence
 
-    def edges_between(self, source: str, target: str) -> list[NeighborEntry]:
-        """All adjacency entries from ``source`` whose neighbour is ``target``."""
-        self._require_entity(source)
-        self._require_entity(target)
-        return [
-            entry for entry in self._adjacency[source] if entry.neighbor == target
-        ]
-
     def relation_labels(self) -> list[str]:
         """Distinct relation labels appearing on edges, in first-use order."""
-        return list(self._edges_by_label)
+        return list(self._label_counts)
 
     def label_counts(self) -> Mapping[str, int]:
         """Number of edges per relation label (incrementally maintained)."""

@@ -9,8 +9,7 @@ worker *processes*, organised as a **supervised replica fleet**
 
 * each worker replica is its own single-worker pool holding a **read-only KB
   replica** built once from a :func:`~repro.parallel.snapshot.kb_to_payload`
-  snapshot and keyed by the source KB's
-  :attr:`~repro.kb.graph.KnowledgeBase.version`;
+  snapshot of the current compiled view and keyed by its version;
 * batches are **chunked** and dispatched longest-expected-first (endpoint
   degree is the cost proxy) to the least-loaded healthy replica — greedy LPT
   scheduling with health-aware routing: SUSPECT replicas are routed around,
@@ -21,7 +20,8 @@ worker *processes*, organised as a **supervised replica fleet**
   loser is cancelled, and completed hedge pairs are asserted byte-identical;
 * results are **reassembled in submission order** regardless of completion
   order, so callers observe exactly the sequential result list;
-* a KB mutation bumps the version and the next batch **recycles** the fleet:
+* a new view (a KB write) bumps the version and the next batch **recycles**
+  the fleet:
   a fresh snapshot is taken and new replicas are spawned, while batches
   already dispatching on the old fleet finish against their (still
   internally consistent) old replicas and stay labelled with the old
@@ -48,22 +48,17 @@ import pickle
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, ContextManager, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro import Rex
 from repro.enumeration.framework import DEFAULT_SIZE_LIMIT
 from repro.errors import RexError
-from repro.kb.graph import KnowledgeBase
+from repro.kb.compiled import CompiledKB
 from repro.measures.base import Measure
 from repro.obs.trace import Span, Trace, activate_trace, deactivate_trace
-from repro.parallel.snapshot import (
-    checkpoint_payload,
-    kb_from_payload,
-    kb_to_payload,
-    overlay_payload,
-)
+from repro.parallel.snapshot import kb_from_payload, kb_to_payload
 from repro.resilience.deadline import (
     Deadline,
     activate_deadline,
@@ -207,6 +202,18 @@ def _chunk_canonical(result: tuple) -> bytes | None:
 # ---------------------------------------------------------------------------
 
 
+def _expected_cost(
+    view: CompiledKB, item: tuple[int, str, str, str, int, int]
+) -> int:
+    """Scheduling cost proxy: total degree of the pair's endpoints."""
+    _, v_start, v_end, _, _, _ = item
+    cost = 0
+    for entity in (v_start, v_end):
+        if view.has_entity(entity):
+            cost += view.degree(entity)
+    return cost
+
+
 @dataclass
 class ExecutorStats:
     """Lifetime counters of one executor (surfaced via engine ``/metrics``)."""
@@ -216,12 +223,9 @@ class ExecutorStats:
     chunks: int = 0
     recycles: int = 0
     worker_crashes: int = 0
-    #: fleet (re)builds that shipped a checkpoint *path* to the workers
-    #: instead of the in-memory plane buffers.
+    #: fleet (re)builds that shipped the base by checkpoint *path* (with or
+    #: without a delta) instead of the in-memory plane buffers.
     checkpoint_ships: int = 0
-    #: fleet (re)builds that shipped a base checkpoint path plus an overlay
-    #: delta (snapshot format 4) instead of the full plane buffers.
-    overlay_ships: int = 0
     last_rebuild_s: float = 0.0
     #: pid -> cumulative in-worker CPU seconds (time.process_time).
     worker_cpu_s: dict[int, float] = field(default_factory=dict)
@@ -239,7 +243,6 @@ class ExecutorStats:
             "recycles": self.recycles,
             "worker_crashes": self.worker_crashes,
             "checkpoint_ships": self.checkpoint_ships,
-            "overlay_ships": self.overlay_ships,
             "last_rebuild_s": round(self.last_rebuild_s, 6),
             "worker_cpu_s": {
                 pid: round(seconds, 6) for pid, seconds in self.worker_cpu_s.items()
@@ -251,7 +254,11 @@ class ParallelBatchExecutor:
     """Shard independent explanation work across a supervised replica fleet.
 
     Args:
-        kb: the live knowledge base; snapshots are taken from it lazily.
+        current_view: callable returning the compiled view to serve now
+            (the serving engine's current view; for a plain KB,
+            ``lambda: compile_kb(kb)``).  Views are immutable, so a snapshot
+            of one needs no lock; a view at a new version recycles the
+            fleet on the next batch.
         workers: number of worker replicas (>= 1); each replica is one
             worker process supervised by the fleet.
         size_limit: default pattern size limit the worker facades are built
@@ -259,36 +266,14 @@ class ParallelBatchExecutor:
         chunk_size: items per dispatched chunk; default balances dispatch
             overhead against scheduling granularity
             (``max(1, n // (workers * 4))``).
-        snapshot_guard: optional factory of a context manager held while the
-            KB is snapshotted for a fleet rebuild.  A *mutable* KB shared
-            with writers (the serving engine's live-update path) must pass
-            its read lock here — snapshotting iterates every adjacency dict,
-            and a concurrent writer would tear the replica or crash the
-            iteration.
-        compiled_provider: optional callable returning the
-            :class:`~repro.kb.compiled.CompiledKB` to snapshot instead of
-            compiling the live KB from scratch.  Invoked *inside* the
-            snapshot guard; the serving engine passes its per-version
-            compile cache so a fleet rebuild ships the exact arrays already
-            serving requests.
         checkpoint_provider: optional callable returning ``(path, version)``
-            of an on-disk checkpoint, or ``None`` when no current one exists.
-            Invoked inside the snapshot guard; when the returned version
-            matches the live KB, the fleet rebuild ships only the *path*
-            (snapshot format 3) and each worker mmap-loads the planes
-            itself — the parent pipes bytes to nobody.  A worker that finds
-            the file missing or corrupt fails replica initialisation, which
-            surfaces as :class:`WorkerCrashError` on the batch and a recycle
-            (falling back to byte shipping only if the provider stops
-            offering the path).
-        overlay_provider: optional callable returning ``(base_checkpoint_path,
-            delta_buffers, version)`` when the engine currently serves an
-            overlay view whose *root base* matches the on-disk checkpoint, or
-            ``None``.  Invoked inside the snapshot guard, tried after the
-            exact-version checkpoint (format 3) and before full byte shipping
-            (format 2): a recycle after an overlay-sized write then ships the
-            delta buffers only, with each worker loading and
-            version-validating the shared base checkpoint itself.
+            of the on-disk checkpoint, or ``None``.  A fleet rebuild ships
+            the base by that path when the checkpoint holds the view or its
+            overlay's root base (see :func:`~repro.parallel.snapshot.kb_to_payload`),
+            and each worker loads and checksum-verifies the planes itself.
+            A worker that finds the file missing or corrupt fails replica
+            initialisation, which surfaces as :class:`WorkerCrashError` on
+            the batch and a recycle.
         metrics: optional duck-typed metrics registry (``counter``/``gauge``)
             the fleet mirrors its restart/hedge/probe counters and
             per-state replica gauges into.
@@ -305,14 +290,11 @@ class ParallelBatchExecutor:
 
     def __init__(
         self,
-        kb: KnowledgeBase,
+        current_view: Callable[[], CompiledKB],
         workers: int,
         size_limit: int = DEFAULT_SIZE_LIMIT,
         chunk_size: int | None = None,
-        snapshot_guard: Callable[[], ContextManager] | None = None,
-        compiled_provider: Callable[[], Any] | None = None,
         checkpoint_provider: Callable[[], tuple[str, int] | None] | None = None,
-        overlay_provider: Callable[[], tuple[str, tuple, int] | None] | None = None,
         metrics: Any | None = None,
         fleet_options: dict[str, Any] | None = None,
     ) -> None:
@@ -320,14 +302,11 @@ class ParallelBatchExecutor:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self._kb = kb
+        self._current_view = current_view
         self.workers = workers
         self.size_limit = size_limit
         self.chunk_size = chunk_size
-        self._snapshot_guard = snapshot_guard
-        self._compiled_provider = compiled_provider
         self._checkpoint_provider = checkpoint_provider
-        self._overlay_provider = overlay_provider
         self._metrics = metrics
         self._fleet_options = dict(fleet_options or {})
         self.stats = ExecutorStats()
@@ -349,11 +328,11 @@ class ParallelBatchExecutor:
         return self._fleet_version
 
     def ensure_fresh(self) -> bool:
-        """Recycle the fleet if the KB moved on (or the fleet collapsed).
+        """Recycle the fleet if the view moved on (or the fleet collapsed).
 
         Returns ``True`` when a (re)build happened.  Called implicitly at the
         start of every batch, so recycling needs no signal from the writer:
-        the KB version check *is* the signal.
+        the version check *is* the signal.
         """
         with self._lock:
             return self._acquire_fleet()[2]
@@ -362,55 +341,24 @@ class ParallelBatchExecutor:
         """Return ``(fleet, replica_version, rebuilt)``; caller holds the lock."""
         if self._closed:
             raise RuntimeError("executor is closed")
+        view = self._current_view()
         stale = (
             self._fleet is None
             or self._broken
-            or self._fleet_version != self._kb.version
+            or self._fleet_version != view.version
         )
         if not stale:
             assert self._fleet is not None and self._fleet_version is not None
             return self._fleet, self._fleet_version, False
         old_fleet = self._fleet
         rebuild_started = time.perf_counter()
-        guard = (
-            self._snapshot_guard() if self._snapshot_guard is not None else nullcontext()
+        checkpoint = (
+            self._checkpoint_provider()
+            if self._checkpoint_provider is not None
+            else None
         )
-        shipped_checkpoint = False
-        shipped_overlay = False
-        with guard:
-            # under the guard no writer can run: the payload and the version
-            # it is labelled with are one consistent cut of the KB
-            checkpoint = (
-                self._checkpoint_provider()
-                if self._checkpoint_provider is not None
-                else None
-            )
-            overlay = (
-                self._overlay_provider()
-                if self._overlay_provider is not None
-                else None
-            )
-            if checkpoint is not None and checkpoint[1] == self._kb.version:
-                # ship the on-disk checkpoint by path: each worker loads and
-                # checksum-verifies the planes itself, nothing is piped
-                payload = checkpoint_payload(checkpoint[0])
-                version = checkpoint[1]
-                shipped_checkpoint = True
-            elif overlay is not None and overlay[2] == self._kb.version:
-                # ship the root base by checkpoint path plus the small delta
-                # by value: an overlay-sized write recycles the fleet without
-                # re-piping the full planes
-                payload = overlay_payload(overlay[0], overlay[1])
-                version = overlay[2]
-                shipped_overlay = True
-            else:
-                source = (
-                    self._compiled_provider()
-                    if self._compiled_provider is not None
-                    else self._kb
-                )
-                payload = kb_to_payload(source)
-                version = source.version
+        payload = kb_to_payload(view, checkpoint)
+        version = view.version
 
         def replica_factory(
             payload=payload, size_limit=self.size_limit
@@ -434,10 +382,8 @@ class ParallelBatchExecutor:
         self._fleet = fleet
         self._fleet_version = version
         self._broken = False
-        if shipped_checkpoint:
+        if isinstance(payload[1], str):
             self.stats.checkpoint_ships += 1
-        if shipped_overlay:
-            self.stats.overlay_ships += 1
         if old_fleet is not None:
             self.stats.recycles += 1
             if self._leases.get(old_fleet):
@@ -473,19 +419,6 @@ class ParallelBatchExecutor:
                     self._retired.discard(fleet)
             if retire:
                 fleet.shutdown(wait_for_work=False)
-
-    def rebind(self, kb: KnowledgeBase) -> None:
-        """Point the executor at a different live-KB object.
-
-        The serving engine swaps its KB object (same logical content, same
-        version) when a checkpoint-restored read-only view is thawed for the
-        first write; the executor must follow, or its staleness check and
-        fallback snapshots would read the abandoned object forever.  Safe
-        while batches are in flight: the version check on the next batch
-        decides whether a recycle is needed.
-        """
-        with self._lock:
-            self._kb = kb
 
     def worker_pids(self) -> list[int]:
         """PIDs of every live worker process, hot standby included.
@@ -559,7 +492,7 @@ class ParallelBatchExecutor:
             items: ``(index, v_start, v_end, measure_name, k, size_limit)``
                 tuples.  Indexes are caller-chosen and only used to key the
                 result mapping; entities and measure names must already be
-                validated against the live KB.
+                validated against the current view.
             trace: optional batch trace.  When present the whole dispatch is
                 recorded as a ``dispatch`` span, the trace ID is propagated
                 into every worker chunk, and the workers' spans are shipped
@@ -586,7 +519,10 @@ class ParallelBatchExecutor:
             # Longest-expected-first (greedy LPT): endpoint degree predicts
             # enumeration cost, so dispatching heavy items first keeps the
             # last chunks small and the replicas' finish times close together.
-            ordered = sorted(items, key=self._expected_cost, reverse=True)
+            view = self._current_view()
+            ordered = sorted(
+                items, key=lambda item: _expected_cost(view, item), reverse=True
+            )
             chunk_size = self.chunk_size or max(1, len(ordered) // (self.workers * 4))
             chunks = [
                 ordered[offset : offset + chunk_size]
@@ -659,15 +595,6 @@ class ParallelBatchExecutor:
             self.stats.worker_crashes += 1
             if self._fleet is fleet:
                 self._broken = True
-
-    def _expected_cost(self, item: tuple[int, str, str, str, int, int]) -> int:
-        """Scheduling cost proxy: total degree of the pair's endpoints."""
-        _, v_start, v_end, _, _, _ = item
-        cost = 0
-        for entity in (v_start, v_end):
-            if self._kb.has_entity(entity):
-                cost += self._kb.degree(entity)
-        return cost
 
     def snapshot(self) -> dict[str, Any]:
         """Configuration plus lifetime counters, for ``/metrics``."""

@@ -1,13 +1,20 @@
-"""Immutable knowledge-base snapshots for cross-process shipping (format 2).
+"""Immutable knowledge-base snapshots for cross-process shipping.
 
 Worker processes of the batch executor each hold a *read-only replica* of the
-knowledge base.  Since payload format 2 a replica **is** a
-:class:`~repro.kb.compiled.CompiledKB`: the snapshot ships the compiled CSR
-planes, handle tables and the packed edge-membership hash as ``tobytes()``
-buffers, and :func:`kb_from_payload` restores them with bulk ``frombytes``
-calls instead of the N× ``add_edge`` replay of format 1 — worker recycling
-after a live KB update is therefore bounded by a few memcpys plus one JSON
-parse of the string tables, not by edge-by-edge graph reconstruction.
+knowledge base: a :class:`~repro.kb.compiled.CompiledKB`, or an
+:class:`~repro.kb.compiled.OverlayCompiledKB` over one.  A snapshot payload
+has one shape, ``(PAYLOAD_FORMAT, base, delta)``:
+
+* ``base`` is the root compiled view, either **by reference** — the path of
+  an on-disk checkpoint (:mod:`repro.kb.checkpoint`) that each worker loads
+  and checksum-verifies itself, so the parent pipes no plane bytes — or
+  **by value**, the ``tobytes()`` buffers of
+  :meth:`~repro.kb.compiled.CompiledKB.to_buffers`, restored with bulk
+  ``frombytes`` calls;
+* ``delta`` is ``None`` or the
+  :meth:`~repro.kb.compiled.OverlayCompiledKB.delta_buffers` of an overlay
+  over that base, so a recycle after a write ships the write-sized delta,
+  not the full planes again.
 
 Replicas preserve everything that makes results deterministic:
 
@@ -18,98 +25,69 @@ Replicas preserve everything that makes results deterministic:
 * the full schema (relation directedness, domains/ranges, entity types),
 
 so a replica answers every explanation request byte-identically to the
-original knowledge base at the version the snapshot was taken.
+served view at the version the snapshot was taken.
 
-Format 1 payloads (plain entity/edge tuple replays) are **rejected** with an
-upgrade message: a format-1 replica would be rebuilt through ``add_edge`` and
-silently lose the compiled hot paths, so a stale worker must recycle instead.
+Any other payload head (the edge-replay format 1 and the earlier compiled
+formats 2–4 included) is rejected with a message asking for a pool recycle,
+never misread.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.kb.compiled import CompiledKB, OverlayCompiledKB
+from repro.kb.checkpoint import load_checkpoint
+from repro.kb.compiled import CompiledKB, OverlayCompiledKB, compile_kb
 from repro.kb.graph import KnowledgeBase
 from repro.obs.trace import span
 
-__all__ = [
-    "kb_to_payload",
-    "kb_from_payload",
-    "checkpoint_payload",
-    "overlay_payload",
-    "PAYLOAD_FORMAT",
-    "CHECKPOINT_PAYLOAD_FORMAT",
-    "OVERLAY_PAYLOAD_FORMAT",
-]
+__all__ = ["kb_to_payload", "kb_from_payload", "PAYLOAD_FORMAT"]
 
 #: Payload format version, bumped when the layout changes so a stale worker
-#: cannot silently misinterpret a newer snapshot.  Format 1 shipped plain
-#: entity/edge tuples replayed through ``add_edge``; format 2 ships the
-#: compiled array planes of :class:`~repro.kb.compiled.CompiledKB`.
-PAYLOAD_FORMAT = 2
-
-#: By-reference payload: ``(3, checkpoint_path)``.  Instead of piping the
-#: plane buffers to every worker, the parent ships the *path* of an on-disk
-#: checkpoint (:mod:`repro.kb.checkpoint`) at the snapshot version; each
-#: worker mmap-loads and checksum-verifies it independently.  Only valid on
-#: one machine — exactly the process-pool topology this package targets.
-CHECKPOINT_PAYLOAD_FORMAT = 3
-
-#: Delta payload: ``(4, base_checkpoint_path, delta_buffers)``.  Ships the
-#: *root base* by reference (an on-disk checkpoint, loaded and
-#: checksum-verified per worker like format 3) plus the overlay's small
-#: delta as plain buffers — a pool recycle after an overlay-sized write
-#: pipes kilobytes, not the full planes.  The worker validates that the
-#: checkpoint's version matches the delta's recorded base version, so a
-#: checkpoint swapped underneath surfaces as an initialisation failure,
-#: never a replica silently missing (or double-counting) edges.
-OVERLAY_PAYLOAD_FORMAT = 4
+#: cannot silently misinterpret a newer snapshot.  Formats 1–4 (edge replay,
+#: full buffers, checkpoint path, base path plus delta) are retired.
+PAYLOAD_FORMAT = 5
 
 
-def kb_to_payload(kb: KnowledgeBase | CompiledKB) -> tuple[Any, ...]:
-    """Snapshot ``kb`` as a picklable tuple of plain values (format 2).
+def kb_to_payload(
+    kb: KnowledgeBase | CompiledKB, checkpoint: tuple[str, int] | None = None
+) -> tuple[Any, ...]:
+    """Snapshot ``kb`` as a picklable ``(PAYLOAD_FORMAT, base, delta)`` tuple.
 
-    Accepts either a mutable :class:`~repro.kb.graph.KnowledgeBase` (compiled
-    on the fly) or an already-compiled :class:`~repro.kb.compiled.CompiledKB`
-    — the serving engine passes its per-version cached compile so snapshotting
-    for a pool rebuild costs only the ``tobytes`` copies.
+    ``kb`` is a compiled view (the serving engine's current one) or a plain
+    :class:`~repro.kb.graph.KnowledgeBase`, compiled on the fly.  An overlay
+    ships as its root base plus its delta.  ``checkpoint`` is ``(path,
+    version)`` of an on-disk checkpoint: the base goes by that path when the
+    checkpoint holds either the whole view (no delta is shipped then) or the
+    overlay's root base, and by value otherwise.
 
-    The snapshot carries the KB :attr:`~repro.kb.graph.KnowledgeBase.version`
-    it was taken at; the executor keys worker replicas on it to decide when a
-    pool must be recycled.
+    The snapshot carries the version it was taken at; the executor keys
+    worker replicas on it to decide when a pool must be recycled.
     """
     with span("snapshot_build"):
-        compiled = CompiledKB.compile(kb)
-        return (PAYLOAD_FORMAT, *compiled.to_buffers())
-
-
-def checkpoint_payload(path: str) -> tuple[Any, ...]:
-    """A by-reference snapshot pointing at an on-disk checkpoint file.
-
-    The caller is responsible for the path naming a checkpoint taken at the
-    KB version it wants workers to serve; the executor only ships one when
-    the engine reports its checkpoint as current.  Workers verify the file's
-    checksum and version header on load, so a swapped or torn file surfaces
-    as a worker initialisation failure, never a silently wrong replica.
-    """
-    return (CHECKPOINT_PAYLOAD_FORMAT, str(path))
-
-
-def overlay_payload(base_checkpoint_path: str, delta_buffers: tuple) -> tuple[Any, ...]:
-    """A base-by-reference + delta-by-value snapshot (format 4).
-
-    ``base_checkpoint_path`` must name a checkpoint of the overlay's *root*
-    base (the engine only offers one when its on-disk checkpoint version
-    equals ``overlay.base.version``); ``delta_buffers`` is
-    :meth:`~repro.kb.compiled.OverlayCompiledKB.delta_buffers` output, which
-    carries the base version and prefix counts the worker re-validates.
-    """
-    return (OVERLAY_PAYLOAD_FORMAT, str(base_checkpoint_path), tuple(delta_buffers))
+        view = compile_kb(kb)
+        base: CompiledKB = view
+        delta = None
+        if isinstance(view, OverlayCompiledKB):
+            base, delta = view.base, view.delta_buffers()
+        if checkpoint is not None:
+            path, version = checkpoint
+            if version == view.version:
+                return (PAYLOAD_FORMAT, str(path), None)
+            if version == base.version:
+                return (PAYLOAD_FORMAT, str(path), delta)
+        return (PAYLOAD_FORMAT, base.to_buffers(), delta)
 
 
 def kb_from_payload(payload: tuple[Any, ...]) -> tuple[CompiledKB, int]:
     """Rebuild a read-only KB replica (and its snapshot version) from a payload.
+
+    A base by reference is loaded through
+    :func:`~repro.kb.checkpoint.load_checkpoint` (checksum and header
+    verified); under a delta it must also be at exactly the base version the
+    delta records, so a checkpoint swapped underneath fails replica
+    initialisation instead of yielding a replica that misses or doubles
+    edges.
 
     Returns:
         ``(replica, version)`` where ``replica`` is a
@@ -117,41 +95,22 @@ def kb_from_payload(payload: tuple[Any, ...]) -> tuple[CompiledKB, int]:
         :class:`~repro.kb.graph.KnowledgeBase`.
 
     Raises:
-        ValueError: for format-1 payloads (with an upgrade hint) and for any
-            unknown format marker.
+        ValueError: for any payload head other than :data:`PAYLOAD_FORMAT`.
     """
-    format_version = payload[0]
-    if format_version == 1:
+    if payload[0] != PAYLOAD_FORMAT or len(payload) != 3:
         raise ValueError(
-            "unsupported KB payload format 1 (edge-replay snapshots): this "
-            "worker expects the compiled array snapshot of format "
-            f"{PAYLOAD_FORMAT}.  Recycle the worker pool so parent and "
+            f"unsupported KB payload format {payload[0]!r}: this worker reads "
+            f"format {PAYLOAD_FORMAT}.  Recycle the worker pool so parent and "
             "workers agree on the snapshot format, or re-serialise the KB "
             "with the current kb_to_payload()."
         )
-    if format_version == CHECKPOINT_PAYLOAD_FORMAT:
-        # lazy import: checkpoint.py sits below this module in the import
-        # graph (repro.kb's init pulls it in while repro's own init is still
-        # running), so the reference must resolve at call time
-        from repro.kb.checkpoint import load_checkpoint
-
-        compiled = load_checkpoint(payload[1])
-        return compiled, compiled.version
-    if format_version == OVERLAY_PAYLOAD_FORMAT:
-        from repro.kb.checkpoint import load_checkpoint
-
-        delta = payload[2]
-        # delta_buffers[1] is the root base version the overlay was derived
-        # from; loading with expected_version rejects a stale or newer
-        # checkpoint before any plane is trusted
-        base = load_checkpoint(payload[1], expected_version=delta[1])
-        compiled = OverlayCompiledKB.from_delta_buffers(base, delta)
-        return compiled, compiled.version
-    if format_version != PAYLOAD_FORMAT:
-        raise ValueError(
-            f"unsupported KB payload format {format_version!r} "
-            f"(expected {PAYLOAD_FORMAT}, {CHECKPOINT_PAYLOAD_FORMAT} "
-            f"or {OVERLAY_PAYLOAD_FORMAT})"
+    _format, base, delta = payload
+    if isinstance(base, str):
+        view = load_checkpoint(
+            base, expected_version=delta[1] if delta is not None else None
         )
-    compiled = CompiledKB.from_buffers(payload[1:])
-    return compiled, compiled.version
+    else:
+        view = CompiledKB.from_buffers(base)
+    if delta is not None:
+        view = OverlayCompiledKB.from_delta_buffers(view, delta)
+    return view, view.version

@@ -10,8 +10,11 @@ component designed for a *request stream*:
 * concurrent identical requests are *coalesced*: the first caller becomes the
   leader and runs the enumeration, every other caller blocks on the leader's
   result instead of re-running it (single-flight);
-* live KB updates go through :meth:`add_edges`, which serialises writers and
-  eagerly purges newly stale cache entries;
+* the engine serves one immutable compiled view per KB version: the passed
+  KB is compiled at boot (or the store or a checkpoint supplies the view)
+  and never referenced again; :meth:`add_edges` builds the next view from
+  the write batch and swaps it in under a writer lock, so reads take no
+  lock, and eagerly purges newly stale cache entries;
 * :meth:`warmup` bulk-explains a seed pair list at startup so the first user
   requests already hit the cache;
 * every step is observable through engine counters (``requests``,
@@ -27,7 +30,6 @@ import logging
 import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
@@ -37,7 +39,6 @@ from repro.enumeration.framework import DEFAULT_SIZE_LIMIT
 from repro.errors import (
     CheckpointError,
     DeadlineExceeded,
-    KnowledgeBaseError,
     RexError,
     StoreError,
     UnknownEntityError,
@@ -126,6 +127,21 @@ def _deadline_from_env() -> float | None:
     return value if value > 0 else None
 
 
+def _edges_since(view: CompiledKB, count: int) -> list[Edge]:
+    """The edges ``view`` holds past its first ``count``, in insertion order."""
+    names = view.names
+    label_of = view.label_of
+    return [
+        Edge(names[src], names[dst], label_of[code], bool(directed))
+        for src, dst, code, directed in zip(
+            view.edge_src[count:],
+            view.edge_dst[count:],
+            view.edge_label[count:],
+            view.edge_directed[count:],
+        )
+    ]
+
+
 #: How long a coalesced follower waits on the leader's event per slice before
 #: re-checking the leader thread's liveness (and its own deadline).
 _FOLLOWER_WAIT_SLICE_S = 0.1
@@ -183,7 +199,7 @@ class _InFlight:
         self.error: BaseException | None = None
         #: KB version the leader actually computed against (may be newer than
         #: the version the flight was registered under, if a write landed
-        #: between registration and the leader taking the KB read lock).
+        #: between registration and the leader capturing the current view).
         self.version: int | None = None
         #: The thread computing this flight.  Followers poll its liveness so
         #: a leader that dies without publishing (killed thread, interpreter
@@ -195,60 +211,14 @@ class _InFlight:
         self.takeover_claimed = False
 
 
-class _ReadWriteLock:
-    """A simple readers-writer lock guarding the mutable knowledge base.
-
-    Enumeration walks the KB's live dicts and adjacency lists, so a writer
-    mutating them mid-read can crash a reader (``dictionary changed size
-    during iteration``) or let it cache a torn result.  Many readers may hold
-    the lock together; a writer waits for all of them and excludes everyone.
-    Writers can starve under constant read pressure — acceptable for a
-    read-dominated serving workload where updates are occasional.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writing = False
-
-    def acquire_read(self) -> None:
-        with self._cond:
-            while self._writing:
-                self._cond.wait()
-            self._readers += 1
-
-    def release_read(self) -> None:
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    def acquire_write(self) -> None:
-        with self._cond:
-            while self._writing or self._readers:
-                self._cond.wait()
-            self._writing = True
-
-    def release_write(self) -> None:
-        with self._cond:
-            self._writing = False
-            self._cond.notify_all()
-
-    @contextmanager
-    def read_locked(self):
-        """Context-manager form of the read side (snapshot guard, cache put)."""
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
-
-
 class ExplanationEngine:
     """A concurrent, caching wrapper around the :class:`repro.Rex` facade.
 
     Args:
-        kb: the knowledge base to serve (mutated in place by KB updates).
+        kb: the knowledge base to serve.  It is compiled at boot (unless the
+            store or a checkpoint supplies the served view) and never
+            mutated; the engine keeps no reference to it.  Writes build new
+            views (:meth:`add_edges`), and :attr:`kb` is the current one.
         size_limit: default pattern size limit for requests that do not
             override it.
         cache_capacity: maximum number of cached rankings.
@@ -271,8 +241,8 @@ class ExplanationEngine:
             SQLite otherwise.
         checkpoint_dir: directory for compiled-plane checkpoints.  On boot a
             matching checkpoint short-circuits replay+recompile; at runtime a
-            checkpoint is written in the background after each fresh compile
-            (i.e. on version bumps), and :meth:`close` flushes a final one.
+            checkpoint is written in the background after the boot compile
+            and after each compaction, and :meth:`close` flushes a final one.
             Checkpoint failures never fail requests — the engine degrades to
             memory-only serving and reports it via :meth:`durability`.
         tracer: optional :class:`~repro.obs.trace.Tracer` controlling request
@@ -331,6 +301,7 @@ class ExplanationEngine:
         breaker: CircuitBreaker | None = None,
         fleet_options: dict[str, Any] | None = None,
     ) -> None:
+        validate_size_limit(size_limit)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Request tracing: sampling, the trace ring buffer, phase histograms.
         #: A default tracer reads REX_TRACE_SAMPLE / REX_TRACE_BUFFER; pass
@@ -371,20 +342,17 @@ class ExplanationEngine:
         #: How the served KB came to be: ``seed`` (the passed kb),
         #: ``checkpoint`` (restored planes) or ``store`` (SQLite replay).
         self.boot_info: dict[str, Any] = {"source": "seed"}
-        kb = self._resolve_boot_kb(kb)
-
-        self._rex = Rex(kb, size_limit=size_limit)
-        # one snapshot of the measure registry: _resolve_measure runs on every
-        # request (including cache hits) and must not copy a dict each time
-        self._measures = self._rex.measures()
         self.cache = VersionedLRUCache(capacity=cache_capacity, ttl_seconds=cache_ttl)
         self._inflight: dict[tuple, _InFlight] = {}
         self._inflight_lock = threading.Lock()
-        self._kb_lock = _ReadWriteLock()
-        #: Serialises SQLite commits *outside* the KB write lock: a writer
-        #: acquires this while still holding the write lock (so commits apply
-        #: in version order) and fsyncs after releasing it (so readers are
-        #: not blocked behind disk latency).
+        #: Serialises writers, each of which builds the next view from the
+        #: current one and swaps it in.  Readers take no lock: they capture
+        #: the current Rex once and compute on its immutable view.
+        self._write_lock = threading.Lock()
+        #: Serialises SQLite commits *outside* the writer lock: a writer
+        #: acquires this while still holding the writer lock (so commits
+        #: apply in version order) and fsyncs after releasing it (so the next
+        #: write is not blocked behind disk latency).
         self._store_commit_lock = threading.Lock()
         self.delta_compact_edges = (
             max(0, delta_compact_edges)
@@ -408,11 +376,6 @@ class ExplanationEngine:
         self._leaked_threads: list[str] = []
         self._executor: ParallelBatchExecutor | None = None
         self._executor_lock = threading.Lock()
-        # version -> Rex over the CompiledKB of that version.  One compile is
-        # shared by serving, warmup and the executor's snapshots; stale
-        # versions are purged by add_edges (and capped here as a backstop).
-        self._compiled_versions: dict[int, Rex] = {}
-        self._compile_lock = threading.Lock()
         # engine instruments (created eagerly so /metrics shows zeros)
         self._requests = self.metrics.counter("engine.requests")
         self._cache_hits = self.metrics.counter("engine.cache_hits")
@@ -444,29 +407,31 @@ class ExplanationEngine:
         # measure; cache hits are excluded — their latency is the cache's,
         # not the measure's)
         self._latency_by_measure: dict[str, LatencyHistogram] = {}
-        # KB / compiled-core gauges (created eagerly so /metrics shows zeros,
-        # refreshed on every compile)
+        # KB / compiled-core gauges: set at boot, refreshed on every write
         self._gauge_entities = self.metrics.gauge("kb.entities")
         self._gauge_edges = self.metrics.gauge("kb.edges")
         self._gauge_labels = self.metrics.gauge("kb.labels")
         self._gauge_plane_bytes = self.metrics.gauge("kb.compiled_plane_bytes")
         self._gauge_compile_s = self.metrics.gauge("kb.compile_seconds")
-        self._gauge_compiled_versions = self.metrics.gauge("kb.compiled_versions_cached")
         self._gauge_overlay_edges = self.metrics.gauge("kb.overlay_edges")
         self._gauge_scoped_purges = self.metrics.gauge("cache.scoped_purges")
-        if isinstance(kb, CompiledKB):
-            # booted straight off checkpointed planes: the compiled view *is*
-            # the serving KB, so seed the per-version compile cache with it —
-            # the first explain after a cold boot pays zero recompilation.
-            # The KB stays compiled (read-only) until the first write batch
-            # thaws it back to a mutable KnowledgeBase.
-            self._compiled_versions[kb.version] = self._rex
-            self._gauge_compiled_versions.set(1)
+
+        view = self._boot_view(kb)
+        self._rex = Rex(view, size_limit=size_limit)
+        # one snapshot of the measure registry: _resolve_measure runs on every
+        # request (including cache hits) and must not copy a dict each time
+        self._measures = self._rex.measures()
+        self._publish_kb_gauges(view)
+        self._gauge_plane_bytes.set(view.plane_bytes())
+        self._gauge_compile_s.set(round(view.compile_seconds, 6))
+        # a no-op when the view came from the checkpoint itself
+        self._schedule_checkpoint(view)
 
     # -- accessors ---------------------------------------------------------
 
     @property
-    def kb(self) -> KnowledgeBase:
+    def kb(self) -> CompiledKB:
+        """The current compiled view (immutable; a write swaps in the next)."""
         return self._rex.kb
 
     @property
@@ -586,9 +551,9 @@ class ExplanationEngine:
                 )
 
             try:
-                # _compute reads the version under the KB read lock: a writer
-                # slipping in between our version read above and the compute
-                # must not let a post-mutation result be cached under the
+                # _compute labels the result with the version of the view it
+                # ran on: a write swapping in a newer view after our version
+                # read above must not let a newer result be cached under the
                 # stale version's key (the flight key keeps the entry version
                 # so the slot registered above is the one popped below).
                 ranked, computed_version = self._compute(
@@ -942,12 +907,11 @@ class ExplanationEngine:
                         results[position] = value
                     continue
                 self._enumerations.inc()
-                # under the read lock no writer (and thus no purge) can
-                # interleave: either the replica is still current and the
-                # entry lands pre-purge, or it is stale and never cached
-                with self._kb_lock.read_locked():
-                    if replica_version == self._rex.kb.version:
-                        self.cache.put(key, replica_version, value)
+                # a write swapping in a newer view after this check either
+                # vets the entry in its purge (the put landed first) or
+                # leaves it under a version no read asks for again
+                if replica_version == self._rex.kb.version:
+                    self.cache.put(key, replica_version, value)
                 for ordinal, position in enumerate(positions):
                     coalesced = ordinal > 0
                     if coalesced:
@@ -1015,27 +979,29 @@ class ExplanationEngine:
     def add_edges(
         self, edges: Iterable[Mapping[str, Any]]
     ) -> dict[str, int]:
-        """Apply a batch of edge additions to the live knowledge base.
+        """Apply a batch of edge additions: the next knowledge-base version.
 
         Each mapping supports ``source``, ``target``, ``label`` (required) and
         ``directed`` (optional, schema decides when absent).  The whole batch
-        is validated before any edge is applied, so a rejected batch leaves
-        the KB untouched; writers exclude in-flight enumerations (and each
-        other) via the KB readers-writer lock.
+        is validated before anything is built, so a rejected batch leaves
+        the KB untouched.
 
-        Instead of discarding the compiled planes and nuking the result
-        cache, a write extends the previous version's compiled view with a
-        sorted overlay delta (folded back into a full base once it outgrows
-        ``delta_compact_edges``) and purges *scoped*: cached rankings whose
-        measures are local and whose start entity lies farther than their
-        ``size_limit`` from every entity the delta touched are carried
-        forward to the new version — see ``docs/serving.md``.
+        The batch builds the next immutable view straight from the current
+        one (:func:`~repro.kb.compiled.extend_compiled`): a sorted overlay
+        delta, folded back into a full base once it outgrows
+        ``delta_compact_edges``.  Writers are serialised by a plain lock and
+        swap the served view in one assignment; reads take no lock and
+        finish on the view they started with.  The result cache is purged
+        *scoped*: cached rankings whose measures are local and whose start
+        entity lies farther than their ``size_limit`` from every endpoint of
+        the batch's new edges are carried forward to the new version — see
+        ``docs/serving.md``.
 
-        Durability: the SQLite commit runs *after* the KB write lock is
+        Durability: the SQLite commit runs *after* the writer lock is
         released, under a dedicated commit lock acquired while still holding
         it — commits stay version-ordered and the ack (this method
-        returning) still happens only after the fsync, but readers are never
-        blocked behind disk latency.
+        returning) still happens only after the fsync, but the next write is
+        never blocked behind disk latency.
 
         Returns:
             ``{"added": n, "kb_version": v, "cache_purged": m,
@@ -1060,8 +1026,8 @@ class ExplanationEngine:
                     f"edge update is missing the {missing.args[0]!r} field: "
                     f"{dict(edge)!r}"
                 ) from None
-            # the KB's own validator, run up front over the whole batch:
-            # add_edge cannot fail once every edge passes, so atomicity holds
+            # the KB's own validator, run up front over the whole batch, so a
+            # malformed edge is reported before anything is built
             KnowledgeBase.validate_edge_args(
                 source, target, label, edge.get("directed")
             )
@@ -1071,54 +1037,50 @@ class ExplanationEngine:
         store_batch: tuple[list, list[Edge], int, Any] | None = None
         commit_locked = False
         compacted: CompiledKB | None = None
-        self._kb_lock.acquire_write()
-        try:
-            # a checkpoint-restored engine serves a read-only CompiledKB
-            # until the first write, which lands here: thaw it back to a
-            # mutable KB at the same version before applying the batch
-            kb = self._thaw_for_write()
-            prev_version = kb.version
-            entities_before = kb.num_entities
-            edges_before = kb.num_edges
-            new_edges: list[Edge] = []
-            for source, target, label, directed in validated:
-                edge_count = kb.num_edges
-                applied = kb.add_edge(source, target, label, directed)
-                if kb.num_edges > edge_count:
-                    new_edges.append(applied)
-            # duplicates of existing edges are deduplicated by the KB, so the
-            # reported count is actual additions, not batch length
-            added = kb.num_edges - edges_before
-            version = kb.version
+        with self._write_lock:
+            prev = self._rex.kb
+            with span("delta_merge"):
+                view = extend_compiled(prev, validated)
+            # duplicates of existing edges are dropped by extend_compiled, so
+            # the reported count is actual additions, not batch length
+            added = view.num_edges - prev.num_edges
+            version = view.version
             purged = retained = 0
-            if version != prev_version:
-                view, compacted = self._apply_delta_compiled(
-                    prev_version, kb
-                )
+            if view is not prev:
+                self._delta_merges.inc()
+                new_edges = _edges_since(view, prev.num_edges)
+                if (
+                    isinstance(view, OverlayCompiledKB)
+                    and view.overlay_edges > self.delta_compact_edges
+                ):
+                    with span("compact"):
+                        view = compacted = view.compact()
+                    self._delta_compactions.inc()
+                self._rex = Rex(view, size_limit=self.size_limit)
+                self._publish_kb_gauges(view)
+                # every new entity is an endpoint of a new edge
                 touched = {edge.source for edge in new_edges}
                 touched.update(edge.target for edge in new_edges)
-                touched.update(kb.entities[entities_before:])
                 purged, retained = self._purge_after_write(
-                    prev_version, version, view, frozenset(touched)
+                    prev.version, version, view, frozenset(touched)
                 )
-            if self._store is not None:
-                if new_edges or kb.num_entities > entities_before:
+                if self._store is not None:
                     new_entities = [
-                        (entity, kb.entity_type(entity))
-                        for entity in kb.entities[entities_before:]
+                        (entity, view.types[handle])
+                        for handle, entity in enumerate(
+                            view.names[prev.num_entities :], prev.num_entities
+                        )
                     ]
-                    store_batch = (new_entities, new_edges, version, kb.schema)
+                    store_batch = (new_entities, new_edges, version, view.schema)
                     # taken while still writing: concurrent writers reach the
                     # commit section below in version order
                     self._store_commit_lock.acquire()
                     commit_locked = True
-                else:
-                    # all-duplicate batch: nothing new to persist, the store
-                    # already covers this version
-                    with self._durability_lock:
-                        durable = self._store_error is None
-        finally:
-            self._kb_lock.release_write()
+            elif self._store is not None:
+                # all-duplicate batch: nothing new to persist, the store
+                # already covers this version
+                with self._durability_lock:
+                    durable = self._store_error is None
         if commit_locked:
             assert store_batch is not None and self._store is not None
             try:
@@ -1146,7 +1108,7 @@ class ExplanationEngine:
         if compacted is not None:
             # a compaction produced a full immutable base at the new version:
             # persist it in the background so the next overlay chain (and the
-            # workers' format-4 snapshots) anchor on a current checkpoint
+            # workers' snapshots) anchor on a current checkpoint
             self._schedule_checkpoint(compacted)
         self._kb_updates.inc()
         return {
@@ -1157,84 +1119,39 @@ class ExplanationEngine:
             "durable": durable,
         }
 
-    def _apply_delta_compiled(
-        self, prev_version: int, kb: KnowledgeBase
-    ) -> tuple[CompiledKB | None, CompiledKB | None]:
-        """Extend the cached compile across this write (KB write lock held).
-
-        Returns ``(view, compacted)``: ``view`` is what got installed in the
-        per-version compile cache (the overlay extending the previous view,
-        or its compacted base when the delta outgrew ``delta_compact_edges``,
-        in which case ``compacted`` is that base).  Both ``None`` when no
-        compile was cached at ``prev_version`` — nothing to extend; the next
-        read pays one full compile, exactly the pre-overlay behaviour.
-        """
-        with self._compile_lock:
-            prev_entry = self._compiled_versions.get(prev_version)
-            overlay: OverlayCompiledKB | None = None
-            if prev_entry is not None:
-                try:
-                    with span("delta_merge"):
-                        overlay = extend_compiled(prev_entry.kb, kb)
-                except (KnowledgeBaseError, RexError) as error:
-                    # a base that is not a prefix of the live KB (an embedder
-                    # mutated it out-of-band): fall back to a full recompile
-                    log_event(
-                        _LOG, logging.WARNING, "delta_merge_failed",
-                        kb_version=kb.version, error=str(error),
-                    )
-            if overlay is None:
-                self._compiled_versions.clear()
-                self._gauge_compiled_versions.set(0)
-                self._gauge_overlay_edges.set(0)
-                return None, None
-            self._delta_merges.inc()
-            view: CompiledKB = overlay
-            compacted: CompiledKB | None = None
-            if overlay.overlay_edges > self.delta_compact_edges:
-                with span("compact"):
-                    view = compacted = overlay.compact()
-                self._delta_compactions.inc()
-            self._compiled_versions.clear()
-            self._compiled_versions[kb.version] = Rex(
-                view, size_limit=self.size_limit
-            )
-            self._gauge_compiled_versions.set(1)
-            self._gauge_overlay_edges.set(
-                overlay.overlay_edges if compacted is None else 0
-            )
-            self._gauge_entities.set(view.num_entities)
-            self._gauge_edges.set(view.num_edges)
-            self._gauge_labels.set(len(view.label_of))
-            return view, compacted
+    def _publish_kb_gauges(self, view: CompiledKB) -> None:
+        """Refresh the KB-size gauges from the served view."""
+        self._gauge_entities.set(view.num_entities)
+        self._gauge_edges.set(view.num_edges)
+        self._gauge_labels.set(len(view.label_of))
+        self._gauge_overlay_edges.set(
+            view.overlay_edges if isinstance(view, OverlayCompiledKB) else 0
+        )
 
     def _purge_after_write(
         self,
         prev_version: int,
         version: int,
-        view: CompiledKB | None,
+        view: CompiledKB,
         touched: frozenset[str],
     ) -> tuple[int, int]:
-        """Invalidate the result cache for this write (KB write lock held).
+        """Invalidate the result cache for this write (writer lock held).
 
-        ``touched`` holds this batch's edge endpoints and new entities.  With
-        the new compiled view in hand the purge is *scoped*: a cached
-        ranking at ``prev_version`` survives (re-keyed to ``version``) when
-        its measure is declared :attr:`~repro.measures.base.Measure.local_scope`
-        and its start entity lies farther than its ``size_limit`` from every
-        touched entity — every explanation instance contains the start
+        ``touched`` holds this batch's edge endpoints.  The purge is
+        *scoped*: a cached ranking at ``prev_version`` survives (re-keyed to
+        ``version``) when its measure is declared
+        :attr:`~repro.measures.base.Measure.local_scope` and its start entity
+        lies farther than its ``size_limit`` from every touched entity in
+        the new ``view`` — every explanation instance contains the start
         entity and spans at most ``size_limit`` edges, so no instance of
         such an entry can reach a new edge, in the old graph or the new.
         Only this batch matters: an entry at ``prev_version`` was already
-        valid for ``prev_version``.  Anything else (and every write without
-        a view to walk) falls back to the full version purge.
+        valid for ``prev_version``.  When no cached entry can survive, the
+        full version purge runs instead.
         """
-        survives = None
-        if view is not None:
-            survives = self._scope_classifier(touched, view)
+        survives = self._scope_classifier(touched, view)
         if survives is None:
-            if view is not None:
-                self._scoped_purge_fallbacks.inc()
+            self._scoped_purge_fallbacks.inc()
             purged = self.cache.purge_versions_except(version)
             retained = 0
         else:
@@ -1444,21 +1361,9 @@ class ExplanationEngine:
                         )
                         self._leaked_threads.append(pending.name)
                 try:
-                    with self._durability_lock:
-                        last = self._last_checkpoint
-                    if last is None or last[0] != self._rex.kb.version:
-                        with self._kb_lock.read_locked():
-                            compiled = self._compiled_rex().kb
-                        with self._checkpoint_write_lock:
-                            save_checkpoint(compiled, self._checkpoint_path)
-                        self._checkpoints_written.inc()
-                        with self._durability_lock:
-                            self._checkpoint_error = None
-                            self._last_checkpoint = (compiled.version, time.time())
-                except (CheckpointError, RexError) as error:
-                    with self._durability_lock:
-                        self._checkpoint_error = str(error)
-                    self._checkpoint_failures.inc()
+                    self._save_checkpoint(self._rex.kb)
+                except CheckpointError:
+                    pass  # recorded: durability() reports it
             if self._store is not None:
                 self._store.close()
             with self._executor_lock:
@@ -1532,10 +1437,11 @@ class ExplanationEngine:
         """Engine + cache counters, for ``/metrics`` and tests."""
         payload = self.metrics.snapshot()
         payload["cache"] = self.cache.snapshot()
+        view = self._rex.kb
         payload["kb"] = {
-            "version": self._rex.kb.version,
-            "entities": self._rex.kb.num_entities,
-            "edges": self._rex.kb.num_edges,
+            "version": view.version,
+            "entities": view.num_entities,
+            "edges": view.num_edges,
         }
         payload["parallel"] = {"parallelism": self.parallelism}
         executor = self._executor
@@ -1569,29 +1475,30 @@ class ExplanationEngine:
 
     # -- durability internals ----------------------------------------------
 
-    def _resolve_boot_kb(self, kb: KnowledgeBase) -> KnowledgeBase | CompiledKB:
-        """Decide which KB this engine serves, per the recovery ladder.
+    def _boot_view(self, kb: KnowledgeBase | CompiledKB) -> CompiledKB:
+        """The view this engine serves first, per the recovery ladder.
 
-        With a non-empty store: try the checkpoint first (O(file size)), fall
-        back to SQLite replay (O(edges) + recompile on first request).  With
-        an empty store: bootstrap it from the seed ``kb``.  Without a store
-        but with a checkpoint matching the seed's version: restore the planes
-        to skip the first compile.  A corrupt or stale checkpoint is *never*
-        served — it is counted, reported, and replaced by replay.
+        With a non-empty store: the checkpoint at the store's version
+        (O(file size)), else the store replayed and compiled.  With an empty
+        store: bootstrap it from the seed ``kb``, then compile the seed.
+        Without a store but with a checkpoint matching the seed's version:
+        the restored planes.  Otherwise the compiled seed.  A corrupt or
+        stale checkpoint is *never* served — it is counted, reported, and
+        replaced by replay.  Neither the seed nor a replayed KB is kept.
         """
         if self._store is not None:
             try:
                 store_empty = self._store.is_empty()
             except StoreError as error:
                 self._record_store_error(error)
-                return kb
+                return self._compile_boot(kb)
             if store_empty:
                 try:
                     self._store.bootstrap(kb)
                     self._store_batches.inc()
                 except StoreError as error:
                     self._record_store_error(error)
-                return kb
+                return self._compile_boot(kb)
             persisted_version = self._store.last_version()
             restored = self._try_restore_checkpoint(persisted_version)
             if restored is not None:
@@ -1609,13 +1516,21 @@ class ExplanationEngine:
                 kb_version=loaded.version,
                 store_path=self._store.path,
             )
-            return loaded
+            return self._compile_boot(loaded)
         if self._checkpoint_path is not None:
             restored = self._try_restore_checkpoint(kb.version)
             if restored is not None:
                 self.boot_info = {"source": "checkpoint", "kb_version": restored.version}
                 return restored
-        return kb
+        return self._compile_boot(kb)
+
+    def _compile_boot(self, kb: KnowledgeBase | CompiledKB) -> CompiledKB:
+        """Compile the boot KB (a passed compiled view is served as is)."""
+        with span("kb_compile"):
+            view = CompiledKB.compile(kb)
+        if view is not kb:
+            self._compiles.inc()
+        return view
 
     def _try_restore_checkpoint(self, expected_version: int) -> CompiledKB | None:
         """Load the checkpoint if present and exactly at ``expected_version``."""
@@ -1642,32 +1557,12 @@ class ExplanationEngine:
             self._store_error = str(error)
         self._store_failures.inc()
 
-    def _thaw_for_write(self) -> KnowledgeBase:
-        """Swap a checkpoint-restored CompiledKB for a mutable KB (write lock).
-
-        The thawed KB replays entities then edges in snapshot order, so by
-        the version invariant (one bump per entity and per edge) it lands on
-        the same version — caches keyed on the version stay valid.  The
-        measure registry is kept (it is KB-independent) and a live executor
-        is re-pointed at the new KB object.
-        """
-        kb = self._rex.kb
-        if not isinstance(kb, CompiledKB):
-            return kb
-        thawed = kb.thaw()
-        assert thawed.version == kb.version
-        self._rex = Rex(thawed, size_limit=self.size_limit)
-        executor = self._executor
-        if executor is not None:
-            executor.rebind(thawed)
-        return thawed
-
     def _schedule_checkpoint(self, compiled: CompiledKB) -> None:
         """Write ``compiled`` to the checkpoint file on a background thread.
 
-        Called after a fresh compile (i.e. after every version bump reaches
-        the serving path).  The compiled view is immutable, so the writer
-        thread needs no KB lock; per-version dedup keeps one write per bump.
+        Called after the boot compile and after each compaction.  The view is
+        immutable, so the writer thread needs no lock on it; per-version
+        dedup keeps one write per version.
         """
         if self._checkpoint_path is None:
             return
@@ -1692,24 +1587,37 @@ class ExplanationEngine:
         thread.start()
 
     def _write_checkpoint(self, compiled: CompiledKB) -> None:
-        assert self._checkpoint_path is not None
         try:
-            with self._checkpoint_write_lock:
-                with self._durability_lock:
-                    last = self._last_checkpoint
-                if last is not None and last[0] >= compiled.version:
-                    return
-                save_checkpoint(compiled, self._checkpoint_path)
-        except CheckpointError as error:
+            self._save_checkpoint(compiled)
+        except CheckpointError:
+            pass  # recorded: durability() reports it
+
+    def _save_checkpoint(self, view: CompiledKB) -> bool:
+        """Write ``view`` to the checkpoint file unless one as new is there.
+
+        Returns whether it wrote.  The version check and the write run under
+        the checkpoint write lock, so the file only ever moves forward and
+        ``_last_checkpoint`` names what it holds.  A failure is recorded
+        (``degraded`` in :meth:`durability`) and re-raised.
+        """
+        assert self._checkpoint_path is not None
+        with self._checkpoint_write_lock:
             with self._durability_lock:
-                self._checkpoint_error = str(error)
-            self._checkpoint_failures.inc()
-            return
-        with self._durability_lock:
-            self._checkpoint_error = None
-            if self._last_checkpoint is None or compiled.version > self._last_checkpoint[0]:
-                self._last_checkpoint = (compiled.version, time.time())
+                last = self._last_checkpoint
+            if last is not None and last[0] >= view.version:
+                return False
+            try:
+                save_checkpoint(view, self._checkpoint_path)
+            except CheckpointError as error:
+                with self._durability_lock:
+                    self._checkpoint_error = str(error)
+                self._checkpoint_failures.inc()
+                raise
+            with self._durability_lock:
+                self._checkpoint_error = None
+                self._last_checkpoint = (view.version, time.time())
         self._checkpoints_written.inc()
+        return True
 
     # -- durability API ----------------------------------------------------
 
@@ -1726,7 +1634,6 @@ class ExplanationEngine:
     def checkpoint(self) -> dict[str, Any]:
         """Synchronously write a checkpoint of the current KB version.
 
-        Compiles the KB if no compile is cached for the current version.
         Returns ``{"kb_version", "path", "written"}`` — ``written`` is
         ``False`` when the on-disk checkpoint already covers this version.
 
@@ -1737,33 +1644,12 @@ class ExplanationEngine:
         """
         if self._checkpoint_path is None:
             raise RexError("this engine has no checkpoint_dir configured")
-        with self._kb_lock.read_locked():
-            compiled = self._compiled_rex().kb
-        with self._durability_lock:
-            last = self._last_checkpoint
-        if last is not None and last[0] >= compiled.version:
-            return {
-                "kb_version": compiled.version,
-                "path": str(self._checkpoint_path),
-                "written": False,
-            }
-        try:
-            with self._checkpoint_write_lock:
-                save_checkpoint(compiled, self._checkpoint_path)
-        except CheckpointError as error:
-            with self._durability_lock:
-                self._checkpoint_error = str(error)
-            self._checkpoint_failures.inc()
-            raise
-        with self._durability_lock:
-            self._checkpoint_error = None
-            if self._last_checkpoint is None or compiled.version > self._last_checkpoint[0]:
-                self._last_checkpoint = (compiled.version, time.time())
-        self._checkpoints_written.inc()
+        view = self._rex.kb
+        written = self._save_checkpoint(view)
         return {
-            "kb_version": compiled.version,
+            "kb_version": view.version,
             "path": str(self._checkpoint_path),
-            "written": True,
+            "written": written,
         }
 
     def durability(self) -> dict[str, Any]:
@@ -1801,111 +1687,34 @@ class ExplanationEngine:
             "boot": dict(self.boot_info),
         }
 
-    def _checkpoint_for_version(self) -> tuple[str, int] | None:
-        """The on-disk checkpoint as ``(path, version)`` if it is current.
+    def _checkpoint_on_disk(self) -> tuple[str, int] | None:
+        """The on-disk checkpoint as ``(path, version)``, if one was written.
 
-        The executor's snapshot path calls this (inside the KB read lock) to
-        hand workers a checkpoint *path* instead of reshipping plane bytes.
+        The executor's snapshots ship the base by this path when it holds the
+        current view or its overlay's root base, instead of plane bytes.
         """
         path = self._checkpoint_path
         if path is None:
             return None
         with self._durability_lock:
             last = self._last_checkpoint
-        if last is None or last[0] != self._rex.kb.version:
+        if last is None:
             return None
         return str(path), last[0]
 
-    def _overlay_for_version(self) -> tuple[str, tuple, int] | None:
-        """The served overlay as ``(base_checkpoint_path, delta, version)``.
-
-        The executor's snapshot path calls this (inside the KB read lock)
-        when no exact-version checkpoint exists: if the current compiled view
-        is an overlay whose *root base* version matches the on-disk
-        checkpoint, workers can rebuild the replica from the shared base
-        file plus these delta buffers (snapshot format 4) instead of
-        receiving the full planes.
-        """
-        path = self._checkpoint_path
-        if path is None:
-            return None
-        with self._compile_lock:
-            entry = self._compiled_versions.get(self._rex.kb.version)
-        if entry is None or not isinstance(entry.kb, OverlayCompiledKB):
-            return None
-        view = entry.kb
-        with self._durability_lock:
-            last = self._last_checkpoint
-        if last is None or last[0] != view.base.version:
-            return None
-        return str(path), view.delta_buffers(), view.version
-
     # -- internals ---------------------------------------------------------
-
-    def _compiled_rex(self) -> Rex:
-        """The Rex facade over the current KB version's compiled view.
-
-        Must be called while holding the KB read lock (compiling walks the
-        live adjacency dicts, and the result is labelled with the version
-        read under that lock).  The compile is cached per version and shared
-        by every serving path; only the first request after a KB update pays
-        for it.
-        """
-        version = self._rex.kb.version
-        fresh: CompiledKB | None = None
-        with self._compile_lock:
-            entry = self._compiled_versions.get(version)
-            if entry is None:
-                with span("kb_compile"):
-                    fresh = CompiledKB.compile(self._rex.kb)
-                entry = Rex(fresh, size_limit=self.size_limit)
-                self._compiled_versions[version] = entry
-                # backstop cap: writers purge via add_edges, but an embedder
-                # mutating the KB directly must not leak old compiles
-                while len(self._compiled_versions) > 2:
-                    del self._compiled_versions[min(self._compiled_versions)]
-                self._compiles.inc()
-                self._gauge_entities.set(fresh.num_entities)
-                self._gauge_edges.set(fresh.num_edges)
-                self._gauge_labels.set(len(fresh.label_of))
-                self._gauge_plane_bytes.set(fresh.plane_bytes())
-                self._gauge_compile_s.set(round(fresh.compile_seconds, 6))
-                self._gauge_overlay_edges.set(0)
-            self._gauge_compiled_versions.set(len(self._compiled_versions))
-        if fresh is not None:
-            # every version bump reaches here on its first serve, so this is
-            # the "checkpoint on version bumps" hook; the write happens on a
-            # background thread against the immutable compiled view
-            self._schedule_checkpoint(fresh)
-        return entry
-
-    def _compiled_snapshot_source(self) -> CompiledKB:
-        """The compiled view the executor snapshots worker payloads from.
-
-        Invoked by the executor inside its ``snapshot_guard`` (this engine's
-        KB read lock), so the compile and the version it is labelled with
-        form one consistent cut — and it is the *same* compile serving
-        requests, so a pool rebuild costs only the buffer copies.
-        """
-        return self._compiled_rex().kb
 
     def _ensure_executor(self) -> ParallelBatchExecutor:
         """The lazily created worker pool (spun up on the first miss batch)."""
         with self._executor_lock:
             if self._executor is None:
                 self._executor = ParallelBatchExecutor(
-                    self._rex.kb,
+                    lambda: self._rex.kb,
                     workers=self.parallelism,
                     size_limit=self.size_limit,
-                    # KB snapshots for pool rebuilds must exclude live writers
-                    snapshot_guard=self._kb_lock.read_locked,
-                    compiled_provider=self._compiled_snapshot_source,
-                    # when the on-disk checkpoint matches the current version,
-                    # workers boot from its path instead of reshipped bytes
-                    checkpoint_provider=self._checkpoint_for_version,
-                    # when serving an overlay over a checkpointed base,
-                    # workers boot from the base path + the delta buffers
-                    overlay_provider=self._overlay_for_version,
+                    # workers load the base from the checkpoint's path when
+                    # it holds the served view or its overlay's root base
+                    checkpoint_provider=self._checkpoint_on_disk,
                     # fleet gauges/counters land in the shared registry, so
                     # /metrics and the Prometheus view pick them up
                     metrics=self.metrics,
@@ -1975,24 +1784,18 @@ class ExplanationEngine:
         k: int,
         size_limit: int,
     ) -> tuple[tuple[RankedExplanation, ...], int]:
-        """Run the full enumerate+rank pipeline under the KB read lock.
+        """Run the full enumerate+rank pipeline on the current view.
 
-        Returns the ranked tuple plus the KB version it was computed against
-        (stable for the whole computation: writers are excluded while any
-        reader holds the lock).
+        Returns the ranked tuple plus the version of the view it ran on: the
+        Rex (and its immutable view) is captured once, so a write swapping in
+        a newer view mid-computation does not touch this one.
         """
         self._enumerations.inc()
-        self._kb_lock.acquire_read()
-        try:
-            version = self._rex.kb.version
-            ranked = tuple(
-                self._compiled_rex().explain(
-                    v_start, v_end, measure=measure, k=k, size_limit=size_limit
-                )
-            )
-            return ranked, version
-        finally:
-            self._kb_lock.release_read()
+        rex = self._rex
+        ranked = tuple(
+            rex.explain(v_start, v_end, measure=measure, k=k, size_limit=size_limit)
+        )
+        return ranked, rex.kb.version
 
     def _outcome(
         self,

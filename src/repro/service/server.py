@@ -74,7 +74,7 @@ import time
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import DeadlineExceeded, RexError, UnknownEntityError
@@ -233,6 +233,11 @@ class ExplanationServer(ThreadingHTTPServer):
 class _ExplainHandler(BaseHTTPRequestHandler):
     server_version = "rex-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # replies go out as a header write and a body write; with Nagle's
+    # algorithm on, the body of a reply on a keep-alive connection waits for
+    # the client's delayed ACK of the headers (~40 ms).  The stdlib sets
+    # TCP_NODELAY on the connection when this is true.
+    disable_nagle_algorithm = True
     # keep-alive means idle or stalled clients otherwise pin a server thread
     # forever; the stdlib applies this to the socket and closes the
     # connection when an idle/partial read exceeds it
@@ -796,7 +801,7 @@ def _rolling_restart_loop(
 
 
 def serve(
-    kb: KnowledgeBase,
+    kb: KnowledgeBase | Callable[[], KnowledgeBase],
     host: str = "127.0.0.1",
     port: int = 8080,
     size_limit: int | None = None,
@@ -819,6 +824,13 @@ def serve(
     rolling_restart_s: float | None = None,
 ) -> None:
     """Blocking convenience entry point: build an engine and serve forever.
+
+    ``kb`` is the knowledge base or a zero-argument callable that loads it.
+    The engine keeps only its compiled view, and so does this function, so
+    the KB is freed once the engine is built — unless the caller still holds
+    it.  A call that passes many keyword arguments keeps its positional
+    arguments alive until it returns (CPython gathers them into a tuple), so
+    such a caller passes a loader.
 
     With ``store_path``/``checkpoint_dir`` the engine boots from the durable
     tier (checkpoint first, SQLite replay second, the passed ``kb`` only as
@@ -856,7 +868,12 @@ def serve(
         engine_kwargs["tracer"] = Tracer(sample_rate=trace_sample)
     if deadline_s is not None:
         engine_kwargs["deadline_s"] = deadline_s
+    if callable(kb):
+        kb = kb()
     engine = ExplanationEngine(kb, **engine_kwargs)
+    # the engine serves its compiled view; holding the KB here would keep
+    # the whole dict graph alive for the life of the server
+    del kb
     admission = AdmissionController(
         max_inflight=(
             max_inflight if max_inflight is not None

@@ -123,6 +123,41 @@ class TestRejection:
         with pytest.raises(CheckpointError, match="corrupt"):
             load_checkpoint(bad)
 
+    def test_parent_container_format_1_is_rejected_and_counted(self, kb, tmp_path):
+        """A container-format-1 file (its body a whole format-2 snapshot
+        payload) is refused, never misread; an engine booting on it counts
+        the rejection and replays its store."""
+        import hashlib
+
+        from repro.kb.checkpoint import CHECKPOINT_MAGIC, _HEADER
+        from repro.service import ExplanationEngine
+
+        db, ckdir = tmp_path / "kb.db", tmp_path / "ckpt"
+        first = ExplanationEngine(kb.copy(), store_path=db, size_limit=3)
+        view = first.kb
+        first.close()
+        payload = pickle.dumps(
+            (2, *view.to_buffers()), protocol=pickle.HIGHEST_PROTOCOL
+        )
+        header = _HEADER.pack(
+            CHECKPOINT_MAGIC, 1, view.version, view.num_entities,
+            view.num_edges, len(payload), hashlib.sha256(payload).digest(),
+        )
+        ckdir.mkdir()
+        (ckdir / "kb.ckpt").write_bytes(header + payload)
+        with pytest.raises(CheckpointError, match="container format 1"):
+            load_checkpoint(ckdir / "kb.ckpt")
+        engine = ExplanationEngine(
+            kb.copy(), store_path=db, checkpoint_dir=ckdir, size_limit=3
+        )
+        try:
+            assert engine.boot_info["source"] == "store"
+            assert "container format 1" in engine.boot_info["checkpoint_rejected"]
+            assert engine.metrics.counter("engine.checkpoint_rejected").value == 1
+            assert engine.kb_version == view.version
+        finally:
+            engine.close()
+
 
 class TestWriteFailures:
     def test_failed_fsync_keeps_previous_checkpoint(self, kb, checkpoint):

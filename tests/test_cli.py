@@ -8,6 +8,7 @@ import json
 
 from repro.cli import build_info_parser, build_parser, build_serve_parser, info_main, main, serve_main
 from repro.kb.io import save_json, save_tsv
+from repro.parallel.snapshot import PAYLOAD_FORMAT
 
 
 class TestParser:
@@ -120,7 +121,7 @@ class TestInfo:
         assert info["entities"] == reloaded.num_entities
         assert info["edges"] == reloaded.num_edges == paper_kb.num_edges
         assert info["labels"] == len(reloaded.relation_labels())
-        assert info["snapshot_format"] == 2
+        assert info["snapshot_format"] == PAYLOAD_FORMAT
         assert info["compiled_plane_bytes"] > 0
         assert info["snapshot_bytes"] > 0
 

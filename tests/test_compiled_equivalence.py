@@ -100,6 +100,11 @@ WORKLOADS = [
 SEEDS = [0, 1, 2]
 
 
+def _distinct_neighbors(kb, entity: str) -> list[str]:
+    """Neighbouring entity ids of ``entity``, once each, in adjacency order."""
+    return list(dict.fromkeys(entry.neighbor for entry in kb.neighbors(entity)))
+
+
 def _connected_pairs(kb, seed: int, count: int) -> list[tuple[str, str]]:
     """Deterministic connected entity pairs (share at least one neighbour)."""
     rng = random.Random(seed * 77 + 3)
@@ -109,11 +114,11 @@ def _connected_pairs(kb, seed: int, count: int) -> list[tuple[str, str]]:
     while len(pairs) < count and attempts < 500:
         attempts += 1
         start = entities[rng.randrange(len(entities))]
-        hop = kb.neighbor_entities(start)
+        hop = _distinct_neighbors(kb, start)
         if not hop:
             continue
         middle = hop[rng.randrange(len(hop))]
-        two_hop = kb.neighbor_entities(middle)
+        two_hop = _distinct_neighbors(kb, middle)
         end = two_hop[rng.randrange(len(two_hop))]
         if end != start and (start, end) not in pairs:
             pairs.append((start, end))

@@ -49,14 +49,8 @@ class TestReadApiParity:
     def test_adjacency_parity(self, source_kb, compiled):
         for entity in source_kb.entities:
             assert compiled.degree(entity) == source_kb.degree(entity)
-            assert list(compiled.iter_neighbors(entity)) == list(
-                source_kb.iter_neighbors(entity)
-            )
             assert compiled.neighbors(entity) == source_kb.neighbors(entity)
             assert compiled.traversal_steps(entity) == source_kb.traversal_steps(entity)
-            assert compiled.neighbor_entities(entity) == source_kb.neighbor_entities(
-                entity
-            )
 
     def test_plane_rows_match_neighbor_ids(self, source_kb, compiled):
         for entity in list(source_kb.entities)[:40]:
@@ -101,13 +95,6 @@ class TestReadApiParity:
             actual.edges(data="label")
         )
 
-    def test_thaw_round_trips(self, source_kb, compiled):
-        thawed = compiled.thaw()
-        assert tuple(thawed.entities) == tuple(source_kb.entities)
-        assert [e.key() for e in thawed.edges()] == [e.key() for e in source_kb.edges()]
-        assert thawed.version != 0  # a freshly built mutable KB, usable as one
-        thawed.add_edge(next(iter(thawed.entities)), "brand_new", "knows")
-
 
 class TestReadOnly:
     def test_mutators_raise(self, compiled):
@@ -150,8 +137,11 @@ class TestCompileCache:
         second compiled copy of its KB would double the served footprint."""
         kb = scale_free_kb(num_entities=60, attach_per_entity=2, seed=3)
         v_start = next(iter(kb.entities))
-        hop = kb.neighbor_entities(v_start)[0]
-        v_end = next(e for e in kb.neighbor_entities(hop) if e != v_start)
+        hop = kb.neighbors(v_start)[0].neighbor
+        v_end = next(
+            entry.neighbor for entry in kb.neighbors(hop)
+            if entry.neighbor != v_start
+        )
         engine = ExplanationEngine(kb, size_limit=4)
         try:
             for name in engine.measures():
@@ -161,7 +151,7 @@ class TestCompileCache:
             for name in engine.measures():
                 engine.explain(v_start, v_end, measure=name, k=3)
             engine.explain("late_arrival", v_end, k=3)
-            assert engine.kb not in _COMPILED_VIEWS
+            assert kb not in _COMPILED_VIEWS
         finally:
             engine.close()
 

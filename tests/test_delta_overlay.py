@@ -2,22 +2,27 @@
 
 The property at the heart of this file: serving a version through
 ``base + overlay delta`` must be **byte-identical** to a from-scratch compile
-of the same KB at every version, across random write interleavings — both on
-the sequential serving path and with the parallel batch executor.  On top of
-that sit the engine-level guarantees: writes extend the compiled view instead
-of dropping it, scoped cache invalidation keeps provably unaffected rankings,
-the SQLite fsync happens outside the read-blocking critical section, and a
-mid-warmup write restarts the stale part of the warmup pass.
+of a mirror KB that got the same ``add_edge`` calls, at every version, across
+random write interleavings — both on the sequential serving path and with the
+parallel batch executor.  On top of that sit the engine-level guarantees:
+writes extend the compiled view instead of dropping it, scoped cache
+invalidation keeps provably unaffected rankings, the SQLite fsync happens
+outside the writer lock, and a mid-warmup write restarts the stale part of
+the warmup pass.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import Rex
 from repro.datasets.paper_example import paper_example_kb
@@ -25,7 +30,7 @@ from repro.errors import KnowledgeBaseError
 from repro.kb.compiled import CompiledKB, OverlayCompiledKB, extend_compiled
 from repro.kb.graph import KnowledgeBase
 from repro.kb.store import KnowledgeBaseStore
-from repro.service.engine import ExplanationEngine
+from repro.service.engine import DEFAULT_DELTA_COMPACT_EDGES, ExplanationEngine
 from repro.workloads import clustered_kb
 
 
@@ -33,10 +38,16 @@ def _comparable(ranked) -> list[tuple[str, float]]:
     return [(repr(entry.explanation.pattern), round(entry.value, 9)) for entry in ranked]
 
 
-def _apply_random_writes(kb: KnowledgeBase, rng: random.Random, count: int) -> int:
-    """Mutate ``kb`` with a mix of edge flavours; returns edges added."""
+def _apply_random_writes(
+    kb: KnowledgeBase, rng: random.Random, count: int
+) -> list[tuple[str, str, str, None]]:
+    """Add a mix of edge flavours to the mirror ``kb``; returns the calls.
+
+    The returned ``(source, target, label, directed)`` tuples are the batch
+    :func:`extend_compiled` applies to the compiled view of the same history.
+    """
     labels = list(kb.relation_labels())
-    added = 0
+    calls = []
     for _ in range(count):
         roll = rng.random()
         if roll < 0.6:
@@ -52,10 +63,9 @@ def _apply_random_writes(kb: KnowledgeBase, rng: random.Random, count: int) -> i
             # edge introducing a brand-new label
             src, dst = rng.sample(list(kb.entities), 2)
             label = f"delta_label_{rng.randrange(10_000)}"
-        before = kb.num_edges
         kb.add_edge(src, dst, label)
-        added += kb.num_edges - before
-    return added
+        calls.append((src, dst, label, None))
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +79,7 @@ class TestOverlayCore:
     def test_extend_matches_full_recompile_bytes(self, small_kb):
         kb = small_kb.copy()
         base = CompiledKB.compile(kb)
-        _apply_random_writes(kb, random.Random(1), 12)
-        overlay = extend_compiled(base, kb)
+        overlay = extend_compiled(base, _apply_random_writes(kb, random.Random(1), 12))
         assert isinstance(overlay, OverlayCompiledKB)
         assert overlay.version == kb.version
         assert overlay.compact().to_buffers() == CompiledKB.compile(kb).to_buffers()
@@ -78,41 +87,38 @@ class TestOverlayCore:
     def test_second_generation_overlay_keeps_the_root_base(self, small_kb):
         kb = small_kb.copy()
         base = CompiledKB.compile(kb)
-        _apply_random_writes(kb, random.Random(2), 5)
-        first = extend_compiled(base, kb)
-        _apply_random_writes(kb, random.Random(3), 5)
-        second = extend_compiled(first, kb)
+        first = extend_compiled(base, _apply_random_writes(kb, random.Random(2), 5))
+        second = extend_compiled(first, _apply_random_writes(kb, random.Random(3), 5))
         # built from the first overlay, but the chain never nests: the
         # second overlay's base is the root and its delta is cumulative
         assert second.base is base
         assert second.overlay_edges > first.overlay_edges
         assert second.compact().to_buffers() == CompiledKB.compile(kb).to_buffers()
 
-    def test_extend_rejects_non_prefix_base(self, small_kb):
-        kb = small_kb.copy()
-        base = CompiledKB.compile(kb)
-        other = small_kb.copy()
-        other.add_edge("divergent_a", "divergent_b", "rel0")
-        other.add_edge(list(other.entities)[0], "divergent_c", "rel1")
-        # rebuild a "base" whose prefix disagrees with other's history
-        divergent = KnowledgeBase()
-        divergent.add_edge("x", "y", "rel0")
-        with pytest.raises(KnowledgeBaseError):
-            extend_compiled(CompiledKB.compile(divergent), kb)
-        del base
+    def test_extend_rejects_an_invalid_edge_before_building(self, small_kb):
+        base = CompiledKB.compile(small_kb)
+        with pytest.raises(KnowledgeBaseError, match="self-loop"):
+            extend_compiled(base, [("x", "y", "rel0", None), ("z", "z", "rel0", None)])
+        assert not base.has_entity("x")
+
+    def test_all_duplicate_batch_returns_the_view_itself(self, small_kb):
+        base = CompiledKB.compile(small_kb)
+        edge = next(iter(small_kb.edges()))
+        batch = [(edge.source, edge.target, edge.label, edge.directed)]
+        if not edge.directed:
+            batch.append((edge.target, edge.source, edge.label, False))
+        assert extend_compiled(base, batch) is base
 
     def test_read_api_parity_with_fresh_compile(self, small_kb):
         kb = small_kb.copy()
         base = CompiledKB.compile(kb)
-        _apply_random_writes(kb, random.Random(4), 15)
-        overlay = extend_compiled(base, kb)
+        overlay = extend_compiled(base, _apply_random_writes(kb, random.Random(4), 15))
         fresh = CompiledKB.compile(kb)
         assert overlay.entities == fresh.entities
         for entity in kb.entities:
             assert overlay.degree(entity) == fresh.degree(entity)
             assert overlay.neighbors(entity) == fresh.neighbors(entity)
             assert overlay.traversal_steps(entity) == fresh.traversal_steps(entity)
-            assert overlay.neighbor_entities(entity) == fresh.neighbor_entities(entity)
         for edge in kb.edges():
             for orient in ("any", "out", "undirected"):
                 assert overlay.has_edge(
@@ -122,8 +128,7 @@ class TestOverlayCore:
     def test_delta_buffers_roundtrip(self, small_kb):
         kb = small_kb.copy()
         base = CompiledKB.compile(kb)
-        _apply_random_writes(kb, random.Random(5), 8)
-        overlay = extend_compiled(base, kb)
+        overlay = extend_compiled(base, _apply_random_writes(kb, random.Random(5), 8))
         rebuilt = OverlayCompiledKB.from_delta_buffers(base, overlay.delta_buffers())
         assert rebuilt.version == overlay.version
         assert rebuilt.compact().to_buffers() == overlay.compact().to_buffers()
@@ -131,8 +136,7 @@ class TestOverlayCore:
     def test_delta_buffers_reject_mismatched_base(self, small_kb):
         kb = small_kb.copy()
         base = CompiledKB.compile(kb)
-        _apply_random_writes(kb, random.Random(6), 4)
-        overlay = extend_compiled(base, kb)
+        overlay = extend_compiled(base, _apply_random_writes(kb, random.Random(6), 4))
         buffers = overlay.delta_buffers()
         wrong = CompiledKB.compile(kb)  # newer version than the recorded base
         with pytest.raises(KnowledgeBaseError):
@@ -162,8 +166,9 @@ class TestOverlayChain:
         generations: list[tuple[OverlayCompiledKB, tuple]] = []
         compactions = 0
         for _ in range(14):
-            _apply_random_writes(kb, rng, rng.randrange(1, 5))
-            overlay = extend_compiled(view, kb)
+            overlay = extend_compiled(
+                view, _apply_random_writes(kb, rng, rng.randrange(1, 5))
+            )
             fresh = CompiledKB.compile(kb)
             assert overlay.version == kb.version
             assert overlay.compact().to_buffers() == fresh.to_buffers()
@@ -190,11 +195,15 @@ class TestOverlayChain:
         entities = list(kb.entities)
         label = kb.relation_labels()[0]
         plane = base.label_code[label] * 3  # the label's out-plane
-        kb.add_edge(entities[0], entities[5], label, directed=True)
-        first = extend_compiled(base, kb)
-        kb.add_edge(entities[1], entities[6], label, directed=True)
-        kb.add_edge(entities[2], "chain_new_entity", label, directed=True)
-        second = extend_compiled(first, kb)
+        writes = [
+            (entities[0], entities[5], label, True),
+            (entities[1], entities[6], label, True),
+            (entities[2], "chain_new_entity", label, True),
+        ]
+        for write in writes:
+            kb.add_edge(*write)
+        first = extend_compiled(base, writes[:1])
+        second = extend_compiled(first, writes[1:])
         assert second.base is base
         assert first.overlay_edges == 1 and second.overlay_edges == 3
         assert first.degree(entities[1]) == base.degree(entities[1])
@@ -222,8 +231,9 @@ class TestOverlayChain:
             for attempt in range(20):
                 kb = small_kb.copy()
                 base = CompiledKB.compile(kb)
-                _apply_random_writes(kb, random.Random(attempt), 10)
-                overlay = extend_compiled(base, kb)
+                overlay = extend_compiled(
+                    base, _apply_random_writes(kb, random.Random(attempt), 10)
+                )
                 expected = _all_plane_tables(CompiledKB.compile(kb))
                 planes = range(overlay.num_planes)
                 barrier = threading.Barrier(n_workers, timeout=30)
@@ -260,23 +270,23 @@ class TestByteIdentityProperty:
     def test_every_version_matches_scratch_compile(self, seed, compact_edges):
         """Random write interleavings through the engine: at every produced
         version the *served* compiled view must serialize byte-identically to
-        compiling the live KB from scratch — with compaction forced on every
-        write (0), kicking in mid-run (3) and never kicking in (10k)."""
+        compiling, from scratch, a mirror KB that got the same edges — with
+        compaction forced on every write (0), kicking in mid-run (3) and
+        never kicking in (10k)."""
         rng = random.Random(seed)
         kb = clustered_kb(
             num_communities=3, community_size=10, intra_degree=3,
             inter_edges=8, seed=seed,
         )
+        mirror = kb.copy()
         engine = ExplanationEngine(
             kb, size_limit=3, delta_compact_edges=compact_edges
         )
         try:
             entities = list(kb.entities)
             pair = (entities[0], entities[5])
-            engine.explain(*pair, k=3)  # prime the compile cache
+            engine.explain(*pair, k=3)
             for _ in range(6):
-                batch_kb = KnowledgeBase()  # scratch pad for edge specs
-                del batch_kb
                 batch = []
                 for _ in range(rng.randrange(1, 4)):
                     src, dst = rng.sample(entities, 2)
@@ -291,14 +301,12 @@ class TestByteIdentityProperty:
                             "label": "rel1",
                         }
                     )
-                engine.add_edges(batch)
-                version = engine.kb_version
-                with engine._compile_lock:
-                    entry = engine._compiled_versions.get(version)
-                if entry is None:
-                    continue  # all-duplicate batch before any compile
-                served = entry.kb
-                scratch = CompiledKB.compile(engine.kb)
+                summary = engine.add_edges(batch)
+                for edge in batch:
+                    mirror.add_edge(edge["source"], edge["target"], edge["label"])
+                assert summary["kb_version"] == engine.kb_version == mirror.version
+                served = engine.kb
+                scratch = CompiledKB.compile(mirror)
                 assert served.to_buffers() == scratch.to_buffers()
                 if compact_edges == 0:
                     assert not isinstance(served, OverlayCompiledKB)
@@ -344,6 +352,108 @@ class TestByteIdentityProperty:
         finally:
             parallel.close()
             sequential.close()
+
+
+# Entities and labels the write sequences draw from: known ones, new ones,
+# labels the paper schema declares undirected ("spouse", and "sibling" which
+# no edge uses yet) and labels no schema knows.
+_WRITE_ENTITIES = (
+    "brad_pitt", "angelina_jolie", "tom_cruise", "nicole_kidman",
+    "fresh_a", "fresh_b", "fresh_c",
+)
+_WRITE_LABELS = ("starring", "spouse", "sibling", "fresh_rel", "fresh_link")
+_WRITE_EDGE = st.tuples(
+    st.sampled_from(_WRITE_ENTITIES),
+    st.sampled_from(_WRITE_ENTITIES),
+    st.sampled_from(_WRITE_LABELS),
+    st.sampled_from((None, True, False)),
+).filter(lambda edge: edge[0] != edge[1])
+# an earlier edge again: as written, reversed, or forced (un)directed — so
+# duplicates, reversed undirected duplicates and directed/undirected twins
+# with the same endpoints and label all occur
+_WRITE_REPEAT = st.tuples(
+    st.integers(min_value=0, max_value=63),
+    st.sampled_from(("same", "reversed", "undirected", "directed")),
+)
+_WRITE_BATCHES = st.lists(
+    st.lists(st.one_of(_WRITE_EDGE, _WRITE_REPEAT), min_size=1, max_size=4),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _resolve_batch(ops, history: list) -> list[tuple[str, str, str, bool | None]]:
+    batch = []
+    for op in ops:
+        if len(op) == 2:
+            if not history:
+                continue
+            source, target, label, directed = history[op[0] % len(history)]
+            if op[1] == "reversed":
+                source, target = target, source
+            elif op[1] == "undirected":
+                directed = False
+            elif op[1] == "directed":
+                directed = True
+            op = (source, target, label, directed)
+        batch.append(op)
+        history.append(op)
+    return batch
+
+
+class TestWritePathIdentity:
+    """The view a write builds equals a compile of a KB that got the same
+    ``add_edge`` calls: buffers, schema order, version, count and store."""
+
+    @pytest.mark.parametrize(
+        "compact_edges", [0, 3, DEFAULT_DELTA_COMPACT_EDGES]
+    )
+    @settings(
+        max_examples=25,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(batches=_WRITE_BATCHES)
+    def test_random_writes_match_a_mirror_kb(self, compact_edges, batches):
+        mirror = paper_example_kb()
+        history: list = []
+        with tempfile.TemporaryDirectory() as scratch:
+            engine = ExplanationEngine(
+                paper_example_kb(),
+                size_limit=3,
+                store_path=Path(scratch) / "kb.sqlite3",
+                delta_compact_edges=compact_edges,
+            )
+            try:
+                for ops in batches:
+                    batch = _resolve_batch(ops, history)
+                    if not batch:
+                        continue
+                    edges_before = mirror.num_edges
+                    summary = engine.add_edges(
+                        [
+                            {"source": s, "target": t, "label": l, "directed": d}
+                            for s, t, l, d in batch
+                        ]
+                    )
+                    for edge in batch:
+                        mirror.add_edge(*edge)
+                    view = engine.kb
+                    expected = CompiledKB.compile(mirror).to_buffers()
+                    assert view.to_buffers() == expected
+                    assert [r.name for r in view.schema] == [
+                        r.name for r in mirror.schema
+                    ]
+                    assert summary["kb_version"] == view.version == mirror.version
+                    assert summary["added"] == mirror.num_edges - edges_before
+                    if compact_edges == 0:
+                        assert not isinstance(view, OverlayCompiledKB)
+                    replayed = engine.store.load()
+                    assert replayed.version == mirror.version
+                    assert CompiledKB.compile(replayed).to_buffers() == expected
+            finally:
+                engine.close()
 
 
 def _chain_kb(prefix: str, length: int, kb: KnowledgeBase | None = None) -> KnowledgeBase:
@@ -430,6 +540,7 @@ class TestScopedInvalidation:
         survives a later write far from it, and equals a fresh compute."""
         kb = _chain_kb("a", 12)
         _chain_kb("b", 12, kb)
+        mirror = kb.copy()
         engine = ExplanationEngine(kb, size_limit=3)
         try:
             engine.explain("a0", "a2", k=3)
@@ -446,7 +557,9 @@ class TestScopedInvalidation:
             outcome = engine.explain("a0", "a2", k=3)
             assert outcome.cached is True
             assert outcome.kb_version == far["kb_version"]
-            fresh = Rex(engine.kb.copy(), size_limit=3).explain("a0", "a2", k=3)
+            mirror.add_edge("a1", "a_near", "linked")
+            mirror.add_edge("b10", "b_far", "linked")
+            fresh = Rex(mirror, size_limit=3).explain("a0", "a2", k=3)
             assert _comparable(outcome.ranked) == _comparable(fresh)
         finally:
             engine.close()
@@ -476,13 +589,15 @@ class TestScopedInvalidation:
         from-scratch engine would compute at the new version."""
         kb = _chain_kb("a", 12)
         _chain_kb("b", 12, kb)
+        mirror = kb.copy()
         engine = ExplanationEngine(kb, size_limit=3)
         try:
             engine.explain("b0", "b2", k=3)
             engine.add_edges([{"source": "b10", "target": "b_far", "label": "linked"}])
             outcome = engine.explain("b0", "b2", k=3)
             assert outcome.cached is True
-            fresh = Rex(engine.kb.copy(), size_limit=3).explain("b0", "b2", k=3)
+            mirror.add_edge("b10", "b_far", "linked")
+            fresh = Rex(mirror, size_limit=3).explain("b0", "b2", k=3)
             assert _comparable(outcome.ranked) == _comparable(fresh)
         finally:
             engine.close()
@@ -507,7 +622,7 @@ class _GatedStore(KnowledgeBaseStore):
 
 class TestCommitOutsideReadPath:
     def test_readers_proceed_while_commit_is_in_flight(self, tmp_path):
-        """Satellite: the SQLite fsync must not run inside the KB write lock.
+        """The SQLite fsync must not run inside the writer lock.
         While one writer's commit is blocked on (simulated) disk, a reader
         must still be answered — against the already-applied new version."""
         store = _GatedStore(tmp_path / "kb.sqlite3")
@@ -562,9 +677,10 @@ class TestSingleFlightUnderWrites:
         """Coalesced readers racing a writer must always observe a ranking
         consistent with *some* KB version that actually existed — never a
         torn result or a stale entry served beyond its version."""
+        mirror = paper_example_kb()
         engine = ExplanationEngine(paper_example_kb(), size_limit=4)
         snapshots: dict[int, KnowledgeBase] = {}
-        snapshots[engine.kb_version] = engine.kb.copy()
+        snapshots[engine.kb_version] = mirror.copy()
         outcomes = []
         outcomes_lock = threading.Lock()
         stop = threading.Event()
@@ -582,7 +698,7 @@ class TestSingleFlightUnderWrites:
         def writer():
             try:
                 for i in range(12):
-                    engine.add_edges(
+                    summary = engine.add_edges(
                         [
                             {
                                 "source": "brad_pitt",
@@ -591,7 +707,9 @@ class TestSingleFlightUnderWrites:
                             }
                         ]
                     )
-                    snapshots[engine.kb_version] = engine.kb.copy()
+                    mirror.add_edge("brad_pitt", f"hammer_{i}", "award_won")
+                    assert summary["kb_version"] == mirror.version
+                    snapshots[mirror.version] = mirror.copy()
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 

@@ -5,7 +5,8 @@ Covers the recovery ladder and the degraded-mode contract of
 
 * restarts replay the store (or fast-boot from the checkpoint with zero
   recompiles) and land on the exact persisted version;
-* a checkpoint-booted engine thaws to a mutable KB on its first write;
+* a checkpoint-booted engine's first write extends the restored view (no
+  thaw back to a mutable KB);
 * storage failures degrade writes (``durable: false``) and the health
   report, but reads keep being served from memory — never an exception;
 * ``close()`` is idempotent and flushes a final checkpoint;
@@ -108,7 +109,6 @@ class TestRecoveryLadder:
             kb.copy(), store_path=db, checkpoint_dir=ckdir, size_limit=SIZE_LIMIT
         )
         engine.add_edges([{"source": "v1", "target": "v2", "label": "rel0"}])
-        # a read after the bump compiles fresh planes and schedules the write
         request = sample_request_stream(kb, 1, seed=4)[0]
         engine.explain(request["start"], request["end"])
         version = engine.kb_version
@@ -258,3 +258,43 @@ class TestParallelCheckpointShipping:
         assert [_comparable(o) for o in parallel_outcomes] == [
             _comparable(o) for o in sequential_outcomes
         ]
+
+    def test_writes_ship_the_checkpointed_base_plus_delta(self, kb, dirs):
+        """After writes, rebuilds ship the checkpointed root base by path and
+        the overlay delta by value; compactions move the checkpoint on.  No
+        version bump books a worker crash, and every answer matches a
+        sequential engine fed the same writes."""
+        db, ckdir = dirs
+        requests = sample_request_stream(kb, 6, seed=12)
+        anchors = [request["start"] for request in requests]
+        parallel = ExplanationEngine(
+            kb.copy(), store_path=db, checkpoint_dir=ckdir,
+            size_limit=SIZE_LIMIT, parallelism=2, delta_compact_edges=3,
+        )
+        sequential = ExplanationEngine(kb.copy(), size_limit=SIZE_LIMIT)
+        try:
+            parallel.checkpoint()  # the boot view's checkpoint, on disk now
+            for round_ in range(5):
+                batch = [
+                    {"source": anchors[round_], "target": f"ship_{round_}",
+                     "label": "rel0"},
+                    {"source": f"ship_{round_}", "target": anchors[round_ + 1],
+                     "label": "rel1"},
+                ]
+                assert (
+                    parallel.add_edges(batch)["kb_version"]
+                    == sequential.add_edges(batch)["kb_version"]
+                )
+                got = parallel.explain_batch(requests)
+                expected = sequential.explain_batch(requests)
+                assert [_comparable(o) for o in got] == [
+                    _comparable(o) for o in expected
+                ]
+            stats = parallel.stats()["parallel"]
+            assert stats["worker_crashes"] == 0
+            assert stats["recycles"] >= 4
+            assert stats["checkpoint_ships"] >= 2
+            assert parallel.metrics.counter("engine.delta_compactions").value >= 1
+        finally:
+            parallel.close()
+            sequential.close()

@@ -130,12 +130,6 @@ class TestQueries:
         assert ("c", "likes", "in") in entries
         assert ("org", "works_at", "out") in entries
 
-    def test_neighbor_entities_are_distinct(self):
-        kb = KnowledgeBase()
-        kb.add_edge("m", "p", "starring")
-        kb.add_edge("m", "p", "producer")
-        assert kb.neighbor_entities("m") == ["p"]
-
     def test_has_edge_directions(self, triangle_kb):
         assert triangle_kb.has_edge("c", "a", "likes", "out")
         assert not triangle_kb.has_edge("a", "c", "likes", "out")
@@ -149,11 +143,6 @@ class TestQueries:
 
     def test_has_edge_unknown_entities_is_false(self, triangle_kb):
         assert not triangle_kb.has_edge("ghost", "a", "knows")
-
-    def test_edges_between(self, triangle_kb):
-        entries = triangle_kb.edges_between("a", "org")
-        assert len(entries) == 1
-        assert entries[0].label == "works_at"
 
     def test_entities_of_type(self):
         kb = KnowledgeBase()

@@ -52,14 +52,17 @@ def _render_outcome(outcome) -> str:
 class TestEngineHammer:
     def test_updates_mid_batch_never_serve_torn_results(self):
         kb = _fresh_kb()
+        # the oracle: a KB that gets the same add_edge calls as the engine,
+        # independent of the views the engine serves
+        mirror = kb.copy()
         engine = ExplanationEngine(kb, size_limit=SIZE_LIMIT, parallelism=2)
         requests = sample_request_stream(
             kb, 8, seed=5, unique_pairs=8, size_limit=SIZE_LIMIT, k_choices=(3,)
         )
-        # version -> deep KB copy taken at that write boundary (the updater
-        # thread is the only writer, so the copies are race-free)
-        snapshots = {kb.version: kb.copy()}
-        boundary_versions = {kb.version}
+        # version -> deep mirror copy taken at that write boundary (the
+        # updater thread is the only writer, so the copies are race-free)
+        snapshots = {mirror.version: mirror.copy()}
+        boundary_versions = {mirror.version}
         collected: list = []
         failures: list[BaseException] = []
         stop = threading.Event()
@@ -86,13 +89,17 @@ class TestEngineHammer:
                         },
                     ]
                     try:
-                        engine.add_edges(edges)
+                        summary = engine.add_edges(edges)
                     except RexError:
                         # the random rewire can pick source == target
-                        engine.add_edges(edges[:1])
+                        edges = edges[:1]
+                        summary = engine.add_edges(edges)
+                    for edge in edges:
+                        mirror.add_edge(edge["source"], edge["target"], edge["label"])
+                    assert summary["kb_version"] == mirror.version
                     with lock:
-                        snapshots[kb.version] = kb.copy()
-                        boundary_versions.add(kb.version)
+                        snapshots[mirror.version] = mirror.copy()
+                        boundary_versions.add(mirror.version)
                     stop.wait(0.01)
             except BaseException as error:  # pragma: no cover - failure path
                 failures.append(error)

@@ -11,6 +11,7 @@ from faultinject import kill_fleet
 
 from repro import Rex
 from repro.errors import RexError
+from repro.kb.compiled import compile_kb
 from repro.parallel import (
     ParallelBatchExecutor,
     WorkerCrashError,
@@ -24,6 +25,11 @@ from repro.workloads import sample_request_stream, scale_free_kb
 SIZE_LIMIT = 4
 
 
+def _current(kb):
+    """The executor's view provider for a plain KB: its current compile."""
+    return lambda: compile_kb(kb)
+
+
 @pytest.fixture(scope="module")
 def workload_kb():
     return scale_free_kb(num_entities=250, attach_per_entity=2, seed=17)
@@ -31,7 +37,7 @@ def workload_kb():
 
 @pytest.fixture()
 def executor(workload_kb):
-    with ParallelBatchExecutor(workload_kb, workers=2, size_limit=SIZE_LIMIT) as pool:
+    with ParallelBatchExecutor(_current(workload_kb), workers=2, size_limit=SIZE_LIMIT) as pool:
         yield pool
 
 
@@ -114,7 +120,7 @@ class TestExecute:
 class TestRecycling:
     def test_kb_update_recycles_pool(self, workload_kb):
         kb = workload_kb.copy()
-        with ParallelBatchExecutor(kb, workers=2, size_limit=SIZE_LIMIT) as pool:
+        with ParallelBatchExecutor(_current(kb), workers=2, size_limit=SIZE_LIMIT) as pool:
             items = _items(kb, 4)
             first = pool.execute(items)
             version_before = kb.version
@@ -126,7 +132,7 @@ class TestRecycling:
 
     def test_new_entity_visible_after_recycle(self, workload_kb):
         kb = workload_kb.copy()
-        with ParallelBatchExecutor(kb, workers=2, size_limit=SIZE_LIMIT) as pool:
+        with ParallelBatchExecutor(_current(kb), workers=2, size_limit=SIZE_LIMIT) as pool:
             pool.ensure_fresh()
             anchor = next(iter(kb.entities))
             kb.add_edge("late_arrival", anchor, "rel0")
@@ -143,7 +149,7 @@ class TestRecycling:
         submits to live replicas: the recycle retires the old fleet and shuts
         it down only when the batch releases it, so no crash is booked."""
         kb = workload_kb.copy()
-        with ParallelBatchExecutor(kb, workers=2, size_limit=SIZE_LIMIT) as pool:
+        with ParallelBatchExecutor(_current(kb), workers=2, size_limit=SIZE_LIMIT) as pool:
             items = _items(kb, 4)
             pool.execute(items)  # build the first fleet
             version_before = kb.version
@@ -180,7 +186,7 @@ class TestRecycling:
 
 class TestCrashSurfacing:
     def test_killed_worker_raises_then_recovers(self, workload_kb):
-        with ParallelBatchExecutor(workload_kb, workers=2, size_limit=SIZE_LIMIT) as pool:
+        with ParallelBatchExecutor(_current(workload_kb), workers=2, size_limit=SIZE_LIMIT) as pool:
             items = _items(workload_kb, 4)
             pool.execute(items)  # warm pool
             kill_fleet(pool)
@@ -193,7 +199,7 @@ class TestCrashSurfacing:
             assert pool.stats.recycles >= 1
 
     def test_closed_executor_rejects_work(self, workload_kb):
-        pool = ParallelBatchExecutor(workload_kb, workers=2)
+        pool = ParallelBatchExecutor(_current(workload_kb), workers=2)
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
             pool.execute([(0, "a", "b", "size", 1, 2)])
@@ -203,8 +209,8 @@ class TestCrashSurfacing:
 class TestValidation:
     def test_bad_worker_count(self, workload_kb):
         with pytest.raises(ValueError, match="workers"):
-            ParallelBatchExecutor(workload_kb, workers=0)
+            ParallelBatchExecutor(_current(workload_kb), workers=0)
 
     def test_bad_chunk_size(self, workload_kb):
         with pytest.raises(ValueError, match="chunk_size"):
-            ParallelBatchExecutor(workload_kb, workers=2, chunk_size=0)
+            ParallelBatchExecutor(_current(workload_kb), workers=2, chunk_size=0)

@@ -228,9 +228,11 @@ class TestGlobalSampleDraw:
         measure = GlobalDistributionMeasure(num_samples=self.NUM_SAMPLES)
         v_start = kb.entities[0]
         before = measure._sample_starts(first, v_start)
-        for index in range(5):
-            kb.add_edge(kb.entities[index], f"sample_new_{index}", "rel0")
-        second = extend_compiled(first, kb)
+        second = extend_compiled(
+            first,
+            [(kb.entities[index], f"sample_new_{index}", "rel0", None)
+             for index in range(5)],
+        )
         after = measure._sample_starts(second, v_start)
         assert after == self._expected(second, v_start)
         assert after != before
@@ -260,8 +262,7 @@ class TestGlobalSampleDraw:
     def test_concurrent_draws_match_the_definition(self, sample_kb):
         kb = sample_kb.copy()
         first = CompiledKB.compile(kb)
-        kb.add_edge(kb.entities[0], "hammer_new", "rel1")
-        second = extend_compiled(first, kb)
+        second = extend_compiled(first, [(kb.entities[0], "hammer_new", "rel1", None)])
         views = (first, second)
         starts = list(first.entities)[:10]
         expected = {

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from repro import Rex
 from repro.datasets.paper_example import PAPER_PAIRS, paper_example_kb
 from repro.errors import RexError, UnknownEntityError
+from repro.kb.store import KnowledgeBaseStore
 from repro.measures.base import Measure
 from repro.service.engine import ExplanationEngine
 
@@ -216,29 +219,36 @@ class TestCaching:
         assert second["added"] == 1
         assert second["kb_version"] > first["kb_version"]
 
-    def test_writer_waits_for_inflight_enumeration(self, engine):
-        """add_edges must block while an enumeration holds the KB read lock."""
+    def test_write_does_not_wait_for_inflight_enumeration(self, engine):
+        """Reads take no lock: a write completes while an enumeration is in
+        flight, and the reader finishes on the view it started with."""
         from concurrent.futures import ThreadPoolExecutor
 
+        version_before = engine.kb_version
         measure = SlowSizeMeasure()
         with ThreadPoolExecutor(max_workers=2) as pool:
             reader = pool.submit(
                 engine.explain, "brad_pitt", "angelina_jolie", measure, 3
             )
             assert measure.entered.wait(timeout=30)
-            writer = pool.submit(
-                engine.add_edges,
-                [{"source": "p", "target": "q", "label": "knows"}],
+            # the reader is parked inside the computation; the write lands
+            summary = engine.add_edges(
+                [{"source": "brad_pitt", "target": "q", "label": "knows"}]
             )
-            # the reader is parked inside the computation with the read lock
-            # held, so the write must not complete yet
-            with pytest.raises(TimeoutError):
-                writer.result(timeout=0.2)
+            assert summary["added"] == 1
+            assert engine.kb.has_entity("q")
             measure.gate.set()
-            reader.result(timeout=30)
-            summary = writer.result(timeout=30)
-        assert summary["added"] == 1
-        assert engine.kb.has_entity("p")
+            outcome = reader.result(timeout=30)
+        # labelled with, and computed on, the version it started on
+        assert outcome.kb_version == version_before < summary["kb_version"]
+        reference = SlowSizeMeasure()
+        reference.gate.set()
+        expected = Rex(paper_example_kb(), size_limit=4).explain(
+            "brad_pitt", "angelina_jolie", measure=reference, k=3
+        )
+        assert [entry.explanation.pattern for entry in outcome.ranked] == [
+            entry.explanation.pattern for entry in expected
+        ]
         assert engine._inflight == {}, "in-flight slots must not leak"
 
 
@@ -485,3 +495,64 @@ class TestStats:
         assert stats["cache"]["size"] == 1
         assert stats["counters"]["engine.requests"] == 1
         assert stats["histograms"]["engine.explain_latency"]["count"] == 1
+
+
+def _collected(ref: weakref.ref) -> bool:
+    gc.collect()
+    return ref() is None
+
+
+class TestBootKbReleased:
+    """The engine serves its compiled view and keeps no reference to the KB
+    it was given, nor to a KB it replayed from its store."""
+
+    def test_seed_boot(self):
+        kb = paper_example_kb()
+        ref = weakref.ref(kb)
+        engine = ExplanationEngine(kb, size_limit=4)
+        del kb
+        try:
+            assert _collected(ref)
+            engine.explain("brad_pitt", "angelina_jolie", k=3)
+            engine.add_edges([{"source": "brad_pitt", "target": "q", "label": "knows"}])
+            assert engine.kb.has_entity("q")
+        finally:
+            engine.close()
+
+    def test_store_bootstrap(self, tmp_path):
+        kb = paper_example_kb()
+        ref = weakref.ref(kb)
+        engine = ExplanationEngine(kb, size_limit=4, store_path=tmp_path / "kb.db")
+        del kb
+        try:
+            assert engine.boot_info["source"] == "seed"
+            assert _collected(ref)
+        finally:
+            engine.close()
+
+    def test_store_replay(self, tmp_path, monkeypatch):
+        db = tmp_path / "kb.db"
+        first = ExplanationEngine(paper_example_kb(), size_limit=4, store_path=db)
+        first.add_edges([{"source": "brad_pitt", "target": "q", "label": "knows"}])
+        first.close()
+        replayed: list[weakref.ref] = []
+        load = KnowledgeBaseStore.load
+
+        def recording_load(store):
+            loaded = load(store)
+            replayed.append(weakref.ref(loaded))
+            return loaded
+
+        monkeypatch.setattr(KnowledgeBaseStore, "load", recording_load)
+        seed = paper_example_kb()
+        ref = weakref.ref(seed)
+        engine = ExplanationEngine(seed, size_limit=4, store_path=db)
+        del seed
+        try:
+            assert engine.boot_info["source"] == "store"
+            assert engine.kb.has_entity("q")
+            assert len(replayed) == 1
+            assert _collected(ref)
+            assert _collected(replayed[0])
+        finally:
+            engine.close()

@@ -6,10 +6,16 @@ exercised with ``urllib`` — the same path `make serve-smoke` takes.
 
 from __future__ import annotations
 
+import gc
+import http.client
 import json
+import statistics
+import time
 import urllib.error
 import urllib.request
+import weakref
 from concurrent.futures import ThreadPoolExecutor
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -335,3 +341,69 @@ class TestConcurrentHammer:
         )
         reference = results[0][1]["results"]
         assert all(payload["results"] == reference for _, payload in results)
+
+
+class TestKeepAlive:
+    def test_back_to_back_cached_requests_do_not_stall(self, service):
+        """Replies on a keep-alive connection go out without waiting for the
+        client's delayed ACK (Nagle's algorithm is off on the socket)."""
+        engine, url = service
+        parts = urlsplit(url)
+        path = "/explain?start=tom_cruise&end=nicole_kidman&k=3"
+        connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=30)
+        try:
+            connection.request("GET", path)
+            connection.getresponse().read()  # computed once, then cached
+            durations = []
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request("GET", path)
+                response = connection.getresponse()
+                body = json.loads(response.read())
+                durations.append(time.perf_counter() - started)
+                assert response.status == 200 and body["cached"] is True
+        finally:
+            connection.close()
+        assert statistics.median(durations) < 0.020, durations
+
+
+class TestServeReleasesTheBootKb:
+    """``serve()`` and ``rex-explain serve`` keep no reference to the KB
+    while serving: the engine's compiled view is all that stays alive."""
+
+    @pytest.fixture()
+    def alive_while_serving(self, monkeypatch):
+        from repro.service import server as server_module
+
+        refs: list[weakref.ref] = []
+        seen: list[bool] = []
+
+        def probe_serve_forever(server, poll_interval=0.5):
+            gc.collect()
+            seen.extend(ref() is not None for ref in refs)
+
+        monkeypatch.setattr(
+            server_module.ExplanationServer, "serve_forever", probe_serve_forever
+        )
+
+        def make_kb():
+            kb = paper_example_kb()
+            refs.append(weakref.ref(kb))
+            return kb
+
+        return make_kb, seen
+
+    def test_serve(self, alive_while_serving):
+        from repro.service import serve
+
+        make_kb, seen = alive_while_serving
+        serve(make_kb(), port=0, verbose=False)
+        assert seen == [False]
+
+    def test_serve_main(self, alive_while_serving, monkeypatch):
+        import repro.cli
+
+        make_kb, seen = alive_while_serving
+        monkeypatch.setattr(repro.cli, "_load_kb", lambda args: make_kb())
+        assert repro.cli.serve_main(["--demo", "--port", "0", "--quiet"]) == 0
+        assert seen == [False]

@@ -115,7 +115,7 @@ class TestPairSampling:
         pairs = sample_connected_pairs(kb, 20, seed=1)
         assert len(pairs) == len(set(frozenset(p) for p in pairs)) == 20
         for v_start, v_end in pairs:
-            assert any(entry.neighbor == v_end for entry in kb.iter_neighbors(v_start))
+            assert any(entry.neighbor == v_end for entry in kb.neighbors(v_start))
 
     def test_hub_bias_raises_mean_degree(self):
         kb = scale_free_kb(num_entities=500, attach_per_entity=2, seed=7)
