@@ -80,8 +80,17 @@ ORIENT_UNDIRECTED = 2
 ORIENT_CODE = {OUT: ORIENT_OUT, IN: ORIENT_IN, UNDIRECTED: ORIENT_UNDIRECTED}
 _ORIENT_CODE = ORIENT_CODE
 
-#: The row set of a row with no neighbors (shared by overlay-added handles).
-_NO_NEIGHBORS: frozenset[int] = frozenset()
+#: Longest row a membership table holds as the row tuple itself.  A miss in
+#: an 8-tuple costs ~95 ns against ~20 ns in a frozenset, and a leaf probes
+#: only its bound slots, but a frozenset per row is one more long-lived
+#: object that every full garbage collection traverses.
+MEMBERS_TUPLE_MAX = 8
+
+
+def row_members(row: tuple[int, ...]) -> "tuple[int, ...] | frozenset[int]":
+    """The membership-table entry of ``row``: the row itself when short."""
+    return row if len(row) <= MEMBERS_TUPLE_MAX else frozenset(row)
+
 
 _READ_ONLY_MESSAGE = (
     "CompiledKB is a read-only snapshot; extend_compiled builds the view of "
@@ -145,12 +154,13 @@ class CompiledKB:
         # by _plane_lock: without it, two threads could each allocate a table
         # for the same plane and one could flag the canonical (unfilled) table
         # complete.  Individual row fills stay lock-free — they are idempotent
-        # writes of equal values.
+        # writes of equal values.  Membership tables (plane index -> complete
+        # list of ``row_members`` entries) are published whole, once built.
         self._plane_lock = threading.Lock()
         self._plane_rows: dict[int, list[tuple[int, ...] | None]] = {}
         self._plane_row_sets: dict[int, list[frozenset[int] | None]] = {}
         self._plane_rows_complete: dict[int, bool] = {}
-        self._plane_sets_complete: dict[int, bool] = {}
+        self._plane_members: dict[int, list] = {}
         self._entities_view: tuple[str, ...] | None = None
         self._edges_view: tuple[Edge, ...] | None = None
         self._label_counts: dict[str, int] | None = None
@@ -526,19 +536,21 @@ class CompiledKB:
         return (src, dst, plane) in self.presence_delta
 
     def plane_tables(
-        self, plane: int, with_sets: bool = False
+        self, plane: int, with_members: bool = False
     ) -> tuple[list | None, list | None]:
-        """Fully materialised ``(rows, row_sets)`` tables of one plane.
+        """Fully materialised ``(rows, members)`` tables of one plane.
 
         Generated sweep kernels index these without any lazy-fill branch in
         the hot loop, so the whole plane is materialised up front on first
         request (one pass over the plane's CSR arrays, amortised across every
-        sweep against this compiled view).  ``row_sets`` is only filled when
-        ``with_sets`` is requested (leaf steps need membership tests).  The
-        fill-then-flag sequences run under the plane lock so a concurrent
-        caller can never observe a completeness flag before the fill.
+        sweep against this compiled view).  ``members`` (``None`` unless
+        ``with_members``; leaf steps need membership tests) holds
+        :func:`row_members` of every row: the row tuple itself for a short
+        row, a frozenset only for a long one.  The fill-then-flag sequence
+        runs under the plane lock so a concurrent caller can never observe a
+        completeness flag before the fill.
         """
-        rows, sets = self._plane_lists(plane)
+        rows, _ = self._plane_lists(plane)
         if rows is None:
             return None, None
         offsets = self.plane_offsets[plane]
@@ -551,14 +563,15 @@ class CompiledKB:
                             offset = offsets[h]
                             rows[h] = tuple(neighbors[offset : offsets[h + 1]])
                     self._plane_rows_complete[plane] = True
-        if with_sets and not self._plane_sets_complete.get(plane):
+        if not with_members:
+            return rows, None
+        members = self._plane_members.get(plane)
+        if members is None:
             with self._plane_lock:
-                if not self._plane_sets_complete.get(plane):
-                    for h, row_set in enumerate(sets):
-                        if row_set is None:
-                            sets[h] = frozenset(rows[h])
-                    self._plane_sets_complete[plane] = True
-        return rows, sets
+                members = self._plane_members.get(plane)
+                if members is None:
+                    members = self._plane_members[plane] = list(map(row_members, rows))
+        return rows, members
 
     # -- KnowledgeBase read API (strings at the boundary) -------------------
 
@@ -1045,7 +1058,7 @@ class OverlayCompiledKB(CompiledKB):
         return "delegate" if not self._new_n else "merge"
 
     def _base_tables(
-        self, plane: int, with_sets: bool = False
+        self, plane: int, with_members: bool = False
     ) -> tuple[list | None, list | None]:
         """The base's fully materialised tables of ``plane`` (``None`` if empty).
 
@@ -1055,7 +1068,7 @@ class OverlayCompiledKB(CompiledKB):
         base_offsets = self._base.plane_offsets
         if plane >= len(base_offsets) or base_offsets[plane] is None:
             return None, None
-        return self._base.plane_tables(plane, with_sets)
+        return self._base.plane_tables(plane, with_members)
 
     def _plane_lists(self, plane: int) -> tuple[list | None, list | None]:
         rows = self._plane_rows.get(plane)
@@ -1090,33 +1103,33 @@ class OverlayCompiledKB(CompiledKB):
         return merged, sets
 
     def plane_tables(
-        self, plane: int, with_sets: bool = False
+        self, plane: int, with_members: bool = False
     ) -> tuple[list | None, list | None]:
         if self._plane_mode(plane) == "delegate":
-            return self._base.plane_tables(plane, with_sets)
-        rows, sets = self._plane_lists(plane)
-        if rows is None:
-            return None, None
-        # rows are fully materialised at merge time; only sets may lag.  The
-        # complete list is the base's row sets (the same frozenset objects)
-        # with the delta-touched rows and new handles rebuilt, installed by
-        # one slice assignment so a lock-free reader sees each entry either
-        # unfilled or final.
-        if with_sets and not self._plane_sets_complete.get(plane):
+            return self._base.plane_tables(plane, with_members)
+        rows, _ = self._plane_lists(plane)
+        if rows is None or not with_members:
+            return rows, None
+        # rows are fully materialised at merge time.  The membership table is
+        # the base's (the same entry objects) with the delta-touched rows and
+        # new handles rebuilt; a row absent from the base is ``()``, its own
+        # entry.  Published whole, so a lock-free reader never sees it partial.
+        members = self._plane_members.get(plane)
+        if members is None:
             with self._plane_lock:
-                if not self._plane_sets_complete.get(plane):
-                    _, base_sets = self._base_tables(plane, with_sets=True)
-                    if base_sets is not None:
-                        complete = list(base_sets)
+                members = self._plane_members.get(plane)
+                if members is None:
+                    _, base_members = self._base_tables(plane, with_members=True)
+                    if base_members is not None:
+                        members = list(base_members)
                     else:
-                        complete = [_NO_NEIGHBORS] * self._base_n
+                        members = [()] * self._base_n
                     if self._new_n:
-                        complete.extend([_NO_NEIGHBORS] * self._new_n)
+                        members.extend([()] * self._new_n)
                     for h in self._plane_appends.get(plane, ()):
-                        complete[h] = frozenset(rows[h])
-                    sets[:] = complete
-                    self._plane_sets_complete[plane] = True
-        return rows, sets
+                        members[h] = row_members(rows[h])
+                    self._plane_members[plane] = members
+        return rows, members
 
     def plane_buffers(
         self, plane: int

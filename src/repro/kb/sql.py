@@ -16,8 +16,9 @@ evaluates that query directly:
   entity, grouping counts by ``(start, end)``.  The distributional measures
   of Section 4.3 use it to turn their O(pairs × match) loops into one shared
   traversal;
-* :func:`sweep_position_count` — the same sweep fused with the position
-  tally of the unpruned distributional ranking;
+* :func:`sweep_position_count` / :func:`count_position` — the same sweep
+  fused with the position tally, for the unpruned distributional ranking
+  and the count-aggregate distributional measures;
 * :func:`count_qualifying_end_entities` — the ``HAVING``/``LIMIT`` form used
   by the pruned ranking, which stops once a bound is exceeded.
 
@@ -38,24 +39,14 @@ from repro.kb.compiled import ORIENT_CODE, CompiledKB, compile_kb
 from repro.kb.graph import KnowledgeBase
 from repro.resilience.deadline import current_deadline
 
-
-def _deadline_poll() -> None:
-    """Per-start cancellation checkpoint for the sweep kernels.
-
-    Resolved at call time (not kernel-build time) because the ambient
-    deadline is per-request while kernels are cached per compiled view.
-    One ContextVar read per sweep start; a strided clock probe when armed.
-    """
-    deadline = current_deadline()
-    if deadline is not None:
-        deadline.tick()
-
 __all__ = [
     "pattern_bindings",
     "iter_pattern_bindings",
     "SweepResult",
     "sweep_local_count_distributions",
     "sweep_position_count",
+    "start_handles",
+    "count_position",
     "count_qualifying_end_entities",
 ]
 
@@ -295,13 +286,14 @@ def _sweep_plan(pattern: ExplanationPattern) -> _SweepPlan:
 # ---------------------------------------------------------------------------
 #
 # The sweeps run on integer handles end to end: each expansion step of the
-# compiled plan holds its (label, orientation) CSR plane's lazily materialised
-# row/row-set tables directly (no string-keyed dict probe, no tuple-key
+# compiled plan holds its (label, orientation) CSR plane's materialised row
+# and membership tables directly (no string-keyed dict probe, no tuple-key
 # allocation per lookup), edge-presence checks probe the packed-integer
 # membership hash, and the deepest counting level folds a whole index row into
 # the per-start group dict with one C-level call plus a small correction
 # for the bound slots instead of one Python iteration per candidate.
-# Entities decode back to strings only when the SweepResult is assembled.
+# Entities decode back to strings only when the SweepResult is assembled; the
+# position tallies never decode at all.
 
 
 @dataclass(frozen=True)
@@ -321,7 +313,8 @@ class _CompiledSweepPlan:
 
     ``count_kernel`` is the *generated* count evaluator (see
     :func:`_generate_count_kernel`): ``kernel(start_handle, per_start_dict)
-    -> bindings_enumerated``.  ``impossible`` is set when the pattern
+    -> bindings_enumerated``; ``position_kernel`` is its fused multi-start
+    position tally.  ``impossible`` is set when the pattern
     references a label or a ``(label, orientation)`` plane with no edges at
     all: no complete binding can exist, so the sweep short-circuits to an
     empty result.
@@ -359,7 +352,8 @@ def _generate_count_kernel(
     * edge checks probe the packed presence hash with literal plane offsets;
     * the deepest counting level folds a whole row into the group dict with
       one C-level ``_count_elements`` call, corrected by O(#bound-slots)
-      membership tests against the row's frozenset — no per-candidate loop.
+      membership tests against the row's membership-table entry (the row
+      tuple itself when short, else a frozenset) — no per-candidate loop.
 
     The generated source depends only on the plan shape and the plane
     literals, so its code object is cached and shared; binding the runtime
@@ -374,7 +368,7 @@ def _generate_count_kernel(
     has_delta = bool(ckb.presence_delta)
     grew = len(ckb.names) != ckb.presence_n
     lines: list[str] = [
-        "def _factory(tables, presence, n, stride, fold, ovp, dl):",
+        "def _factory(tables, presence, n, stride, fold, ovp, current_deadline):",
     ]
     expansion_ordinals: list[int] = []
     for index, step in enumerate(steps):
@@ -479,12 +473,14 @@ def _generate_count_kernel(
     bound = [0]
     ordinal = 0
     lines.append("    def position_many(starts, own_count, own_start, own_end):")
+    # The ambient deadline is per request while kernels are cached per view,
+    # so it is resolved per call; the per-start tick keeps the granularity.
+    lines.append("        deadline = current_deadline()")
     lines.append("        position = 0")
     lines.append("        bindings = 0")
     lines.append("        for b0 in starts:")
-    # Per-start cancellation checkpoint: resolved through the ambient
-    # deadline at call time, a no-op context-variable read when unarmed.
-    lines.append("            dl()")
+    lines.append("            if deadline is not None:")
+    lines.append("                deadline.tick()")
     lines.append("            per_start = {}")
     lines.append("            get = per_start.get")
     emit(0, "            ")
@@ -510,7 +506,7 @@ def _generate_count_kernel(
             ckb.label_code[step.label] * 3 + ORIENT_CODE[step.orientation]
         )
         is_leaf = index == num_steps - 1
-        tables.append(ckb.plane_tables(plane, with_sets=is_leaf))
+        tables.append(ckb.plane_tables(plane, with_members=is_leaf))
     return namespace["_factory"](
         tables,
         ckb.presence,
@@ -518,7 +514,7 @@ def _generate_count_kernel(
         ckb.presence_stride,
         _count_elements,
         ckb.presence_delta,
-        _deadline_poll,
+        current_deadline,
     )
 
 
@@ -612,8 +608,9 @@ def sweep_local_count_distributions(
     nest (:func:`_compiled_sweep_plan`, cached), bindings live in local
     integer slots, and every candidate step is a row of a ``(label,
     orientation)`` CSR plane — no per-start setup, no per-binding dict
-    copies.  This is the evaluator behind the distributional measures
-    (Section 4.3) and the unpruned Figure 11 scenarios.
+    copies.  This is the evaluator behind the decoded distributions of the
+    distributional measures (Section 4.3) and the unpruned Figure 11
+    scenarios.
 
     Args:
         kb: the knowledge base.
@@ -628,99 +625,99 @@ def sweep_local_count_distributions(
     """
     ckb = compile_kb(kb)
     plan = _compiled_sweep_plan(ckb, pattern)
-    variable_sets_h: dict[tuple[int, int], dict[str, set[int]]] | None = (
-        {} if collect_variable_sets else None
-    )
-    names = ckb.names
     if plan.impossible:
         return SweepResult({}, {} if collect_variable_sets else None, 0)
-    steps = plan.steps
-    num_steps = len(steps)
-    end_slot = plan.end_slot
-    vnames = plan.variable_names
-    presence = ckb.presence
-    stride = ckb.presence_stride
-    pn = ckb.presence_n
-    delta = ckb.presence_delta
-    n = len(names)
+    names = ckb.names
+    # Each distinct start is evaluated once; a duplicated entry in
+    # ``start_entities`` must not double its groups or binding count.
+    starts = start_handles(ckb, start_entities)
+    deadline = current_deadline()
     counts_h: dict[int, dict[int, int]] = {}
     bindings_enumerated = 0
-    binding: list[int] = [0] * len(vnames)
-    used: set[int] = set()
-
-    def run_full(index: int, per_start: dict[int, int], start: int) -> None:
-        """General recursion: complete bindings, per-variable entity sets."""
-        nonlocal bindings_enumerated
-        if index == num_steps:
-            bindings_enumerated += 1
-            end = binding[end_slot]
-            per_start[end] = per_start.get(end, 0) + 1
-            group = variable_sets_h.get((start, end))
-            if group is None:
-                group = variable_sets_h[(start, end)] = {name: set() for name in vnames}
-            for name, entity in zip(vnames, binding):
-                group[name].add(entity)
-            return
-        step = steps[index]
-        if step[1] is None:
-            anchor = binding[step[0]]
-            check = binding[step[2]]
-            if step[4] and anchor < pn and check < pn:
-                base = (anchor * pn + check) * stride
-                for plane in step[3]:
-                    if base + plane in presence:
-                        run_full(index + 1, per_start, start)
-                        return
-            if delta:
-                for plane in step[3]:
-                    if (anchor, check, plane) in delta:
-                        run_full(index + 1, per_start, start)
-                        return
-            return
-        anchor_slot, free_slot, rows, _, offsets, neighbors = step
-        anchor = binding[anchor_slot]
-        row = rows[anchor]
-        if row is None:
-            offset = offsets[anchor]
-            row = rows[anchor] = tuple(neighbors[offset : offsets[anchor + 1]])
-        for candidate in row:
-            if candidate in used:
-                continue
-            binding[free_slot] = candidate
-            used.add(candidate)
-            run_full(index + 1, per_start, start)
-            used.discard(candidate)
-
-    if start_entities is None:
-        start_iter: Sequence[int] = range(n)
-    else:
-        handles = ckb.handles
-        start_iter = [
-            handle
-            for handle in (handles.get(start) for start in start_entities)
-            if handle is not None
-        ]
-    seen: set[int] = set()
-    count_kernel = plan.count_kernel
-    for start_h in start_iter:
-        _deadline_poll()
-        # Each distinct start is evaluated once; a duplicated entry in
-        # ``start_entities`` must not double its groups or binding count.
-        if start_h in seen:
-            continue
-        seen.add(start_h)
-        if variable_sets_h is None:
+    variable_sets_h: dict[tuple[int, int], dict[str, set[int]]] | None = None
+    if not collect_variable_sets:
+        count_kernel = plan.count_kernel
+        for start_h in starts:
+            if deadline is not None:
+                deadline.tick()
             raw: dict[int, int] = {}
             bindings_enumerated += count_kernel(start_h, raw)
             per_start = {entity: count for entity, count in raw.items() if count > 0}
-        else:
-            binding[0] = start_h
-            used.clear()
-            used.add(start_h)
-            per_start = {}
-            run_full(0, per_start, start_h)
-        if per_start:
-            counts_h[start_h] = per_start
+            if per_start:
+                counts_h[start_h] = per_start
+    else:
+        variable_sets_h = {}
+        steps = plan.steps
+        num_steps = len(steps)
+        end_slot = plan.end_slot
+        vnames = plan.variable_names
+        presence = ckb.presence
+        stride = ckb.presence_stride
+        pn = ckb.presence_n
+        delta = ckb.presence_delta
+        binding: list[int] = [0] * len(vnames)
+        used: set[int] = set()
+
+        def run_full(index: int, per_start: dict[int, int], start: int) -> None:
+            """General recursion: complete bindings, per-variable entity sets."""
+            nonlocal bindings_enumerated
+            if index == num_steps:
+                bindings_enumerated += 1
+                end = binding[end_slot]
+                per_start[end] = per_start.get(end, 0) + 1
+                group = variable_sets_h.get((start, end))
+                if group is None:
+                    group = variable_sets_h[(start, end)] = {
+                        name: set() for name in vnames
+                    }
+                for name, entity in zip(vnames, binding):
+                    group[name].add(entity)
+                return
+            step = steps[index]
+            if step[1] is None:
+                anchor = binding[step[0]]
+                check = binding[step[2]]
+                if step[4] and anchor < pn and check < pn:
+                    base = (anchor * pn + check) * stride
+                    for plane in step[3]:
+                        if base + plane in presence:
+                            run_full(index + 1, per_start, start)
+                            return
+                if delta:
+                    for plane in step[3]:
+                        if (anchor, check, plane) in delta:
+                            run_full(index + 1, per_start, start)
+                            return
+                return
+            anchor_slot, free_slot, rows, _, offsets, neighbors = step
+            anchor = binding[anchor_slot]
+            row = rows[anchor]
+            if row is None:
+                offset = offsets[anchor]
+                row = rows[anchor] = tuple(neighbors[offset : offsets[anchor + 1]])
+            for candidate in row:
+                if candidate in used:
+                    continue
+                binding[free_slot] = candidate
+                used.add(candidate)
+                run_full(index + 1, per_start, start)
+                used.discard(candidate)
+
+        try:
+            for start_h in starts:
+                if deadline is not None:
+                    deadline.tick()
+                binding[0] = start_h
+                used.clear()
+                used.add(start_h)
+                per_start = {}
+                run_full(0, per_start, start_h)
+                if per_start:
+                    counts_h[start_h] = per_start
+        finally:
+            # run_full refers to itself through its closure cell: empty the
+            # cell so the function is freed now, not by the cycle collector
+            del run_full
 
     counts = {
         names[start]: {names[end]: count for end, count in per.items()}
@@ -763,22 +760,71 @@ def sweep_position_count(
     if plan.impossible:
         return 0, 0
     handles = ckb.handles
-    if start_entities is None:
-        start_iter: Sequence[int] = range(len(ckb.names))
-    else:
-        # encode + dedup in one C-level pass (dict.fromkeys keeps the
-        # first-occurrence order)
-        start_iter = dict.fromkeys(
-            handle
-            for handle in map(handles.get, start_entities)
-            if handle is not None
-        )
     return plan.position_kernel(
-        start_iter,
+        start_handles(ckb, start_entities),
         own_count,
         handles.get(v_start, -1),
         handles.get(v_end, -1),
     )
+
+
+def start_handles(
+    kb: KnowledgeBase, start_entities: Sequence[str] | None
+) -> Sequence[int]:
+    """``start_entities`` as handles of ``kb``'s compiled view, in order.
+
+    ``None`` means every entity.  Entities absent from the view are dropped,
+    and so is every repeat of a start (one C-level pass: ``dict.fromkeys``
+    keeps first occurrences).
+    """
+    ckb = compile_kb(kb)
+    if start_entities is None:
+        return range(len(ckb.names))
+    handles = ckb.handles
+    return tuple(
+        dict.fromkeys(
+            handle for handle in map(handles.get, start_entities) if handle is not None
+        )
+    )
+
+
+def count_position(
+    kb: KnowledgeBase,
+    pattern: ExplanationPattern,
+    v_start: str,
+    v_end: str,
+    starts: Sequence[int] | None = None,
+) -> int:
+    """The pair's position under the count aggregate, without decoding.
+
+    The pair's own count is its ``(v_start, v_end)`` group from one run of
+    the plan's one-start kernel.  With ``starts`` ``None`` the position is
+    local: the end entities of ``v_start``'s other groups whose count exceeds
+    it.  Otherwise it is the position in the distribution pooled over the
+    start handles ``starts`` (:func:`start_handles`): the groups whose count
+    exceeds it, tallied by the fused ``position_many`` kernel.  Either equals
+    :meth:`Distribution.position` of the decoded distribution
+    (``repro.measures.distributional``), which stays the definition.
+    """
+    ckb = compile_kb(kb)
+    plan = _compiled_sweep_plan(ckb, pattern)
+    if plan.impossible:
+        return 0
+    deadline = current_deadline()
+    if deadline is not None:
+        deadline.tick()
+    handles = ckb.handles
+    start_h = handles.get(v_start)
+    end_h = handles.get(v_end)
+    groups: dict[int, int] = {}
+    if start_h is not None:
+        plan.count_kernel(start_h, groups)
+    own = groups.get(end_h, 0) if end_h != start_h else 0
+    if starts is None:
+        return sum(
+            1 for end, count in groups.items() if count > own and end != start_h
+        )
+    return plan.position_kernel(starts, own, -1, -1)[0]
 
 
 def count_qualifying_end_entities(
@@ -809,7 +855,9 @@ def count_qualifying_end_entities(
     the batched sweeps, to :func:`iter_pattern_bindings` on random knowledge
     bases.
     """
-    _deadline_poll()
+    deadline = current_deadline()
+    if deadline is not None:
+        deadline.tick()
     ckb = compile_kb(kb)
     start_h = ckb.handles.get(v_start)
     if start_h is None:

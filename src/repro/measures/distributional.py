@@ -32,7 +32,7 @@ from repro.core.explanation import Explanation
 from repro.core.pattern import END, START, ExplanationPattern
 from repro.errors import MeasureError
 from repro.kb.graph import KnowledgeBase
-from repro.kb.sql import sweep_local_count_distributions
+from repro.kb.sql import count_position, start_handles, sweep_local_count_distributions
 from repro.measures.base import Measure, Monotonicity
 
 __all__ = [
@@ -235,6 +235,9 @@ class LocalDistributionMeasure(Measure):
     def raw_value(
         self, kb: KnowledgeBase, explanation: Explanation, v_start: str, v_end: str
     ) -> float:
+        if self.aggregate == "count":
+            # v_start's own groups, tallied in handle space
+            return float(count_position(kb, explanation.pattern, v_start, v_end))
         values = local_aggregate_distribution(
             kb, explanation.pattern, v_start, self.aggregate
         )
@@ -261,35 +264,42 @@ class GlobalDistributionMeasure(Measure):
         self.aggregate = aggregate
         self.num_samples = num_samples
         self.seed = seed
-        # (entity tuple the draws were made from, {v_start: sample}); replaced
-        # whole, never mutated in place once another view's tuple shows up
-        self._samples: tuple[tuple[str, ...], dict[str, list[str]]] = ((), {})
+        # (entity tuple the draws were made from, {v_start: (sample, its
+        # handles)}); replaced whole, never mutated in place once another
+        # view's tuple shows up
+        self._samples: tuple[
+            tuple[str, ...], dict[str, tuple[list[str], tuple[int, ...]]]
+        ] = ((), {})
 
-    def _sample_starts(self, kb: KnowledgeBase, v_start: str) -> list[str]:
-        """The start sample of ``v_start``, drawn once per KB view.
+    def _draw(self, kb: KnowledgeBase, v_start: str) -> tuple[list[str], tuple[int, ...]]:
+        """The start sample of ``v_start`` and its handles, drawn once per view.
 
         Every explanation of a request (and every request against the same
         view) scores against the same draw, so it is cached per ``v_start``
         and keyed on the *identity* of ``kb.entities``: compiled views and
         plain KBs hand out one cached tuple until their entity set changes,
-        so a new view or a grown KB never reuses a stale sample.  The cache
-        holds that tuple, so its identity cannot be recycled.  Concurrent
-        callers may both draw on a miss; the draw is deterministic, so
-        either result is the same list.
+        so a new view or a grown KB never reuses a stale sample.  Handles
+        are dense in entity order, so they are fixed by the same tuple.  The
+        cache holds that tuple, so its identity cannot be recycled.
+        Concurrent callers may both draw on a miss; the draw is
+        deterministic, so either result is the same.
         """
         entities = kb.entities
         drawn_from, samples = self._samples
         if drawn_from is not entities:
             samples = {}
             self._samples = (entities, samples)
-        sample = samples.get(v_start)
-        if sample is None:
+        drawn = samples.get(v_start)
+        if drawn is None:
             if len(samples) >= _MAX_CACHED_SAMPLES:
                 samples.clear()
-            sample = samples[v_start] = sample_start_entities(
-                entities, v_start, self.num_samples, self.seed
-            )
-        return sample
+            sample = sample_start_entities(entities, v_start, self.num_samples, self.seed)
+            drawn = samples[v_start] = (sample, start_handles(kb, sample))
+        return drawn
+
+    def _sample_starts(self, kb: KnowledgeBase, v_start: str) -> list[str]:
+        """The start sample of ``v_start`` (:func:`sample_start_entities`)."""
+        return self._draw(kb, v_start)[0]
 
     def distribution(
         self, kb: KnowledgeBase, explanation: Explanation, v_start: str
@@ -311,6 +321,18 @@ class GlobalDistributionMeasure(Measure):
     def raw_value(
         self, kb: KnowledgeBase, explanation: Explanation, v_start: str, v_end: str
     ) -> float:
+        if self.aggregate == "count":
+            # the pair's own count against the sample's groups, tallied in
+            # handle space: no pooled distribution is built or decoded
+            return float(
+                count_position(
+                    kb,
+                    explanation.pattern,
+                    v_start,
+                    v_end,
+                    self._draw(kb, v_start)[1],
+                )
+            )
         own_values = local_aggregate_distribution(
             kb, explanation.pattern, v_start, self.aggregate
         )

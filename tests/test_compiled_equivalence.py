@@ -13,7 +13,10 @@ those kernels to oracles that read only the plain KB's own API, over seeded
 * sweeps, position counts and the pruned position query equal the grouping
   of :func:`~repro.kb.sql.iter_pattern_bindings` per start entity;
 * the pruned local- and global-position rankers equal Algorithm 5 with the
-  served local-dist and global-dist measures.
+  served local-dist and global-dist measures;
+* those measures' count-aggregate scores, tallied in handle space, equal
+  ``Distribution.position`` of the decoded distributions that define them,
+  on plain KBs and on overlay views after writes.
 
 The facade on a plain KB ranks exactly as on a separately compiled view,
 under every served measure.  Worker replicas restored from snapshots, the
@@ -38,7 +41,7 @@ from repro.core.pattern import END, START
 from repro.enumeration.framework import enumerate_explanations
 from repro.enumeration.naive import naive_enum
 from repro.errors import RexError
-from repro.kb.compiled import CompiledKB
+from repro.kb.compiled import CompiledKB, OverlayCompiledKB
 from repro.kb.sql import (
     count_qualifying_end_entities,
     iter_pattern_bindings,
@@ -48,6 +51,7 @@ from repro.kb.sql import (
 from repro.measures.distributional import (
     GlobalDistributionMeasure,
     LocalDistributionMeasure,
+    local_aggregate_distribution,
 )
 from repro.parallel.snapshot import kb_from_payload, kb_to_payload
 from repro.ranking.distributional_pruning import (
@@ -341,6 +345,85 @@ class TestRankingOracle:
                 (entry.explanation.pattern.canonical_key, entry.value)
                 for entry in via_measure.ranked
             ]
+
+
+class TestHandleSpaceScoring:
+    """``raw_value`` of the count-aggregate local-dist and global-dist never
+    builds a distribution; the decoded ``distribution()`` and
+    ``local_aggregate_distribution`` stay the definition it must equal."""
+
+    @staticmethod
+    def _assert_scores_match_decoded(kb, pairs, num_samples: int) -> int:
+        local = LocalDistributionMeasure()
+        pooled = GlobalDistributionMeasure(num_samples=num_samples)
+        entities = list(kb.entities)
+        checked = 0
+        for v_start, v_end in pairs:
+            explanations = enumerate_explanations(
+                kb, v_start, v_end, size_limit=SIZE_LIMIT
+            ).explanations
+            assert explanations
+            other = entities[0] if entities[0] != v_start else entities[1]
+            # the pair itself, its reverse, and a pair the pattern may not
+            # connect (own count 0)
+            for start, end in ((v_start, v_end), (v_end, v_start), (v_start, other)):
+                for explanation in explanations:
+                    own = local_aggregate_distribution(
+                        kb, explanation.pattern, start
+                    ).get(end, 0.0)
+                    for measure in (local, pooled):
+                        expected = measure.distribution(kb, explanation, start).position(own)
+                        actual = measure.raw_value(kb, explanation, start, end)
+                        assert actual == float(expected), (
+                            start, end, repr(explanation.pattern), measure.name,
+                        )
+                        checked += 1
+        return checked
+
+    @pytest.mark.parametrize("num_samples", [5, 15, 100])
+    def test_scores_equal_decoded_positions(self, workload, num_samples):
+        kb, seed = workload
+        assert self._assert_scores_match_decoded(
+            kb, _connected_pairs(kb, seed, 1), num_samples
+        )
+
+    def test_scores_equal_decoded_positions_on_overlay_views(self):
+        """Engine writes that add entities and labels: the served overlay view's
+        membership tables and sample handles cover the new entities."""
+        kb = clustered_kb(
+            num_communities=3, community_size=12, intra_degree=3, inter_edges=10, seed=4
+        )
+        entities = list(kb.entities)
+        engine = ExplanationEngine(
+            kb.copy(), size_limit=SIZE_LIMIT, delta_compact_edges=10_000
+        )
+        try:
+            engine.add_edges(
+                [
+                    {"source": entities[0], "target": "written_1", "label": "rel0"},
+                    {"source": "written_1", "target": entities[5], "label": "written_rel"},
+                    {"source": entities[5], "target": entities[9], "label": "written_rel"},
+                    {"source": entities[2], "target": entities[7], "label": "rel1"},
+                ]
+            )
+            engine.add_edges(
+                [
+                    {"source": entities[9], "target": "written_2", "label": "written_rel"},
+                    {"source": "written_2", "target": "written_1", "label": "rel2"},
+                    {"source": entities[0], "target": entities[9], "label": "rel0"},
+                ]
+            )
+            view = engine.kb
+            assert isinstance(view, OverlayCompiledKB)
+            pairs = [
+                (entities[0], entities[5]),
+                ("written_1", entities[9]),
+                (entities[5], "written_2"),
+            ]
+            for num_samples in (5, 15, 100):
+                assert self._assert_scores_match_decoded(view, pairs, num_samples)
+        finally:
+            engine.close()
 
 
 class TestRankingEquivalence:

@@ -215,9 +215,9 @@ class TestKernelSurface:
     def test_plane_tables_materialise_fully(self, compiled):
         label = compiled.label_of[0]
         plane = compiled.label_code[label] * 3
-        rows, sets = compiled.plane_tables(plane, with_sets=True)
+        rows, members = compiled.plane_tables(plane, with_members=True)
         if rows is not None:
             assert all(row is not None for row in rows)
-            assert all(row_set is not None for row_set in sets)
+            assert all(entry is not None for entry in members)
             for h in range(compiled.num_entities):
-                assert sets[h] == frozenset(rows[h])
+                assert frozenset(members[h]) == frozenset(rows[h])

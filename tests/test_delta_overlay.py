@@ -27,11 +27,16 @@ from hypothesis import strategies as st
 from repro import Rex
 from repro.datasets.paper_example import paper_example_kb
 from repro.errors import KnowledgeBaseError
-from repro.kb.compiled import CompiledKB, OverlayCompiledKB, extend_compiled
+from repro.kb.compiled import (
+    MEMBERS_TUPLE_MAX,
+    CompiledKB,
+    OverlayCompiledKB,
+    extend_compiled,
+)
 from repro.kb.graph import KnowledgeBase
 from repro.kb.store import KnowledgeBaseStore
 from repro.service.engine import DEFAULT_DELTA_COMPACT_EDGES, ExplanationEngine
-from repro.workloads import clustered_kb
+from repro.workloads import bipartite_kb, clustered_kb
 
 
 def _comparable(ranked) -> list[tuple[str, float]]:
@@ -144,7 +149,9 @@ class TestOverlayCore:
 
 
 def _all_plane_tables(view: CompiledKB) -> list:
-    return [view.plane_tables(plane, with_sets=True) for plane in range(view.num_planes)]
+    return [
+        view.plane_tables(plane, with_members=True) for plane in range(view.num_planes)
+    ]
 
 
 class TestOverlayChain:
@@ -156,7 +163,8 @@ class TestOverlayChain:
     ):
         """A chain of writes adding entities and labels, compacting whenever
         the delta outgrows a small threshold: every generation's merged
-        buffers and every plane's rows and row sets equal a fresh compile,
+        buffers and every plane's rows and membership tables equal a fresh
+        compile,
         and after all later extensions each earlier generation still reads
         exactly its own version."""
         rng = random.Random(seed)
@@ -188,8 +196,9 @@ class TestOverlayChain:
             assert rebuilt.compact().to_buffers() == expected
 
     def test_extension_copies_nothing_it_does_not_touch(self, small_kb):
-        """An overlay's untouched row sets are the base's own frozensets, and
-        extending an overlay leaves the earlier one's delta as it was."""
+        """An overlay's untouched membership entries are the base's own
+        objects, and extending an overlay leaves the earlier one's delta as
+        it was."""
         kb = small_kb.copy()
         base = CompiledKB.compile(kb)
         entities = list(kb.entities)
@@ -208,22 +217,23 @@ class TestOverlayChain:
         assert first.overlay_edges == 1 and second.overlay_edges == 3
         assert first.degree(entities[1]) == base.degree(entities[1])
         assert "chain_new_entity" not in first
-        _, base_sets = base.plane_tables(plane, with_sets=True)
+        _, base_members = base.plane_tables(plane, with_members=True)
         for view, touched in ((first, {0}), (second, {0, 1, 2})):
-            rows, sets = view.plane_tables(plane, with_sets=True)
+            rows, members = view.plane_tables(plane, with_members=True)
             assert rows is not base.plane_tables(plane)[0]
-            for h, row_set in enumerate(base_sets):
+            for h, entry in enumerate(base_members):
                 if h in touched:
-                    assert row_set is not sets[h]
-                    assert sets[h] == frozenset(rows[h])
+                    assert entry is not members[h]
+                    assert frozenset(members[h]) == frozenset(rows[h])
                 else:
-                    assert sets[h] is row_set
+                    assert members[h] is entry
         fresh = CompiledKB.compile(kb)
         assert _all_plane_tables(second) == _all_plane_tables(fresh)
 
     def test_concurrent_readers_see_only_final_row_sets(self, small_kb):
-        """Threads filling one overlay's plane tables at once (whole tables
-        and single lazy rows, base tables cold) only ever read final rows."""
+        """Threads filling one overlay's plane tables at once (whole row and
+        membership tables, and single lazy row sets, base tables cold) only
+        ever read final entries."""
         n_workers = 8
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -242,16 +252,16 @@ class TestOverlayChain:
                     barrier.wait()
                     wrong = []
                     for plane in list(planes)[worker:] + list(planes)[:worker]:
-                        rows, sets = expected[plane]
+                        rows, members = expected[plane]
                         if rows is None:
                             continue
                         if worker % 2:
-                            got = overlay.plane_tables(plane, with_sets=True)
-                            if got != (rows, sets):
+                            got = overlay.plane_tables(plane, with_members=True)
+                            if got != (rows, members):
                                 wrong.append((plane, "tables"))
                         else:
                             for h in range(len(rows)):
-                                if overlay.plane_row_set(plane, h) != sets[h]:
+                                if overlay.plane_row_set(plane, h) != frozenset(rows[h]):
                                     wrong.append((plane, h))
                     return wrong
 
@@ -260,6 +270,86 @@ class TestOverlayChain:
                 assert results == [[]] * n_workers
         finally:
             sys.setswitchinterval(previous)
+
+
+def _hub_kb() -> KnowledgeBase:
+    """44 entities whose attribute in-rows run to 17 entries: base membership
+    tables hold frozensets as well as row tuples."""
+    return bipartite_kb(
+        num_entities=40, num_attributes=4, attributes_per_entity=2, num_labels=2, seed=0
+    )
+
+
+# Each write fans out of one source to a run of targets, so rows grow past
+# MEMBERS_TUPLE_MAX in many draws; writes also add entities and a label.
+_MEMBER_SOURCES = ("a0", "e00", "member_new_0")
+_MEMBER_TARGETS = tuple(f"e{index:02d}" for index in range(10, 30)) + (
+    "a1", "member_new_0", "member_new_1",
+)
+_MEMBER_FAN = st.builds(
+    lambda source, label, directed, first, count: [
+        (source, target, label, directed)
+        for target in _MEMBER_TARGETS[first : first + count]
+        if target != source
+    ],
+    st.sampled_from(_MEMBER_SOURCES),
+    st.sampled_from(("has_attr1", "member_rel")),
+    st.sampled_from((None, True, False)),
+    st.integers(min_value=0, max_value=len(_MEMBER_TARGETS) - 1),
+    st.integers(min_value=1, max_value=12),
+)
+_MEMBER_BATCHES = st.lists(
+    st.lists(_MEMBER_FAN, min_size=1, max_size=3).map(
+        lambda fans: [edge for fan in fans for edge in fan]
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestMembershipTables:
+    """The leaf kernels probe ``plane_tables(plane, with_members=True)``: the
+    row tuple itself for a short row, a frozenset of it for a long one."""
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(batches=_MEMBER_BATCHES)
+    def test_complete_equal_to_rows_and_shared_where_untouched(self, batches):
+        """At every version: every entry present and equal to its row as a
+        set, a tuple exactly when the row is short, and the root base's own
+        object wherever the cumulative delta left the row alone; tables equal
+        a fresh compile's, and no later version changes an earlier one's."""
+        mirror = _hub_kb()
+        base = CompiledKB.compile(mirror)
+        view: CompiledKB = base
+        published = []
+        for batch in [[]] + batches:
+            if batch:
+                view = extend_compiled(view, batch)
+                for edge in batch:
+                    mirror.add_edge(*edge)
+            fresh = CompiledKB.compile(mirror)
+            for plane in range(view.num_planes):
+                rows, members = view.plane_tables(plane, with_members=True)
+                assert (rows, members) == fresh.plane_tables(plane, with_members=True)
+                if rows is None:
+                    continue
+                assert len(members) == view.num_entities
+                base_rows, base_members = base.plane_tables(plane, with_members=True)
+                for h, (row, entry) in enumerate(zip(rows, members)):
+                    assert frozenset(entry) == frozenset(row)
+                    short = len(row) <= MEMBERS_TUPLE_MAX
+                    assert isinstance(entry, tuple if short else frozenset)
+                    if base_rows is not None and h < len(base_rows) and row == base_rows[h]:
+                        assert entry is base_members[h]
+                published.append((members, list(members)))
+        for members, entries in published:
+            assert len(members) == len(entries)
+            assert all(now is then for now, then in zip(members, entries))
 
 
 class TestByteIdentityProperty:

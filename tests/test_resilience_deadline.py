@@ -9,6 +9,11 @@ import pytest
 from repro import Rex
 from repro.enumeration.framework import enumerate_explanations
 from repro.errors import DeadlineExceeded, RexError
+from repro.kb.sql import sweep_local_count_distributions
+from repro.measures.distributional import (
+    GlobalDistributionMeasure,
+    LocalDistributionMeasure,
+)
 from repro.resilience import (
     Deadline,
     activate_deadline,
@@ -144,6 +149,60 @@ class TestCheckpointedPipelines:
         with pytest.raises(DeadlineExceeded):
             with deadline_scope(1e-9):
                 rex.explain(*self.PAIR, measure="size+local-dist", k=3)
+
+    @pytest.mark.parametrize(
+        "measure",
+        [GlobalDistributionMeasure(), LocalDistributionMeasure()],
+        ids=["global-dist", "local-dist"],
+    )
+    def test_scoring_alone_honours_the_deadline(self, paper_kb, measure):
+        """The explanations are enumerated unarmed, so only scoring can trip."""
+        explanations = enumerate_explanations(
+            paper_kb, *self.PAIR, size_limit=4
+        ).explanations
+        assert explanations
+        with pytest.raises(DeadlineExceeded):
+            with deadline_scope(1e-9):
+                for explanation in explanations:
+                    measure.value(paper_kb, explanation, *self.PAIR)
+
+    def test_sweeps_tick_once_per_start(self, paper_kb):
+        """The deadline is resolved once per call, and ticked once per start."""
+
+        class CountingDeadline:
+            ticks = 0
+
+            def tick(self) -> None:
+                self.ticks += 1
+
+        explanation = enumerate_explanations(
+            paper_kb, *self.PAIR, size_limit=4
+        ).explanations[0]
+        starts = list(paper_kb.entities)[:7]
+        for call, expected_ticks in (
+            # the pair's own start, then the five sampled starts
+            (
+                lambda: GlobalDistributionMeasure(num_samples=5).value(
+                    paper_kb, explanation, *self.PAIR
+                ),
+                1 + 5,
+            ),
+            (lambda: LocalDistributionMeasure().value(paper_kb, explanation, *self.PAIR), 1),
+            # a repeated start is swept, and ticked, once
+            (
+                lambda: sweep_local_count_distributions(
+                    paper_kb, explanation.pattern, starts + starts
+                ),
+                len(starts),
+            ),
+        ):
+            deadline = CountingDeadline()
+            token = activate_deadline(deadline)
+            try:
+                call()
+            finally:
+                deactivate_deadline(token)
+            assert deadline.ticks == expected_ticks
 
 
 class TestEngineDeadlines:
