@@ -143,10 +143,10 @@ class Explanation:
 
     # -- dunder ------------------------------------------------------------
 
-    #: ``__dict__`` keys never pickled: the per-process merge-kernel cache
-    #: (its info embeds a process-local pattern token) and the bulky
-    #: assignment-set caches — all rebuilt on demand, and shipping them would
-    #: inflate every executor result payload.
+    #: ``__dict__`` keys never pickled: the merge kernel's per-explanation
+    #: constants (which hold every assignment set) and the assignment-set
+    #: caches themselves — both bulky, both rebuilt on demand, and shipping
+    #: them would inflate every executor result payload.
     _TRANSIENT_CACHES = ("_merge_info", "_assignment_cache")
 
     def __getstate__(self):

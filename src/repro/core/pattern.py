@@ -21,7 +21,14 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.errors import PatternError
 
-__all__ = ["START", "END", "PatternEdge", "ExplanationPattern", "fresh_variable"]
+__all__ = [
+    "START",
+    "END",
+    "PatternEdge",
+    "ExplanationPattern",
+    "canonical_key_of",
+    "fresh_variable",
+]
 
 #: The distinguished variable mapped to the entity the user searched for.
 START = "?start"
@@ -144,16 +151,22 @@ class ExplanationPattern:
 
     @classmethod
     def _trusted(
-        cls, variables: frozenset[str], edges: frozenset[PatternEdge]
+        cls,
+        variables: frozenset[str],
+        edges: frozenset[PatternEdge],
+        canonical_key: tuple | None = None,
     ) -> "ExplanationPattern":
         """Construct without validation from already-checked frozensets.
 
-        Internal fast path for the enumeration algorithms, which build tens of
-        thousands of candidate patterns whose invariants hold by construction.
+        Internal fast path for the enumeration algorithms, which build
+        patterns whose invariants hold by construction and whose canonical
+        key they have often computed already (``canonical_key``).
         """
         pattern = cls.__new__(cls)
         pattern._variables = variables
         pattern._edges = edges
+        if canonical_key is not None:
+            pattern.__dict__["canonical_key"] = canonical_key
         return pattern
 
     @classmethod
@@ -340,10 +353,13 @@ class ExplanationPattern:
         lexicographically smallest edge encoding; patterns in REX have at most
         a handful of variables so this is cheap.  Enumeration regenerates the
         same pattern shapes over and over (as distinct objects), so the
-        computation is additionally memoized globally on the variable/edge
-        sets — only the first object of a shape pays for the permutations.
+        computation is additionally memoized by :func:`canonical_key_of` —
+        only the first object of a shape pays for the permutations.
         """
-        return _canonical_key_of(self._variables, self._edges)
+        return canonical_key_of(
+            tuple(sorted(self._variables)),
+            tuple(sorted(edge.key() for edge in self._edges)),
+        )
 
     def is_isomorphic(self, other: "ExplanationPattern") -> bool:
         """Whether two patterns are isomorphic (start/end fixed)."""
@@ -352,27 +368,6 @@ class ExplanationPattern:
         return self.canonical_key == other.canonical_key
 
     # -- dunder ------------------------------------------------------------
-
-    def __getstate__(self):
-        """Pickle without the compiled union's merge token.
-
-        Tokens are minted by a per-process counter; shipping one across the
-        executor's process boundary would plant a foreign token that could
-        collide with the receiver's own mints.  Value-derived caches (the
-        canonical key) stay in the payload — they are correct anywhere.
-        """
-        extras = {
-            key: value
-            for key, value in self.__dict__.items()
-            if key != "_merge_token"
-        }
-        return (self._variables, self._edges, extras)
-
-    def __setstate__(self, state) -> None:
-        variables, edges, extras = state
-        self._variables = variables
-        self._edges = edges
-        self.__dict__.update(extras)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExplanationPattern):
@@ -399,25 +394,31 @@ class ExplanationPattern:
 
 
 @lru_cache(maxsize=65536)
-def _canonical_key_of(
-    variables: frozenset[str], edges: frozenset[PatternEdge]
+def canonical_key_of(
+    variables: tuple[str, ...], edge_keys: tuple[tuple[str, str, str, bool], ...]
 ) -> tuple:
-    """Memoized canonical-key computation shared by all equal pattern shapes."""
-    others = sorted(variables - {START, END})
+    """The canonical key of the pattern with these variables and edge keys.
+
+    Memoized on the two tuples, so callers pass them sorted (the variable
+    names, and the :meth:`PatternEdge.key` of every edge): every equal
+    pattern shape then shares one entry, and the memo holds only strings
+    and tuples.  Any order yields the same key; only the memo's hit rate
+    depends on it.
+    """
+    others = sorted(
+        variable for variable in variables if variable != START and variable != END
+    )
     if len(others) > _MAX_CANONICAL_VARIABLES:
         raise PatternError(
             "pattern too large for exact canonicalisation "
             f"({len(others)} non-target variables)"
         )
-    edge_tuples = [
-        (edge.source, edge.target, edge.label, edge.directed) for edge in edges
-    ]
     canonical_names = [fresh_variable(index) for index in range(len(others))]
     best: tuple | None = None
     for permutation in itertools.permutations(canonical_names):
         mapping = dict(zip(others, permutation))
         encoding_list = []
-        for source, target, label, directed in edge_tuples:
+        for source, target, label, directed in edge_keys:
             renamed_source = mapping.get(source, source)
             renamed_target = mapping.get(target, target)
             if directed or renamed_source <= renamed_target:

@@ -17,28 +17,37 @@ The merge is implemented in two phases so the union algorithms can skip the
 (expensive) instance join for candidate patterns that are already known:
 
 1. :func:`_merge_candidates` enumerates the partial one-to-one variable
-   mappings, applies cheap pruning (size limit, assignment-set overlap) and
-   builds the merged pattern;
+   mappings that survive cheap pruning (size limit, assignment-set overlap)
+   and returns a plain-tuple plan, keyed by the merged pattern's canonical
+   key, for each mapping that adds an edge;
 2. :func:`_join_instances` hash-joins the two instance sets over the matched
    variables, enforcing subgraph (injective) semantics.
+
+A union finds the (explanation, path) pairs worth merging through
+:class:`PathPostings`, an entity postings index over its seed paths, and
+builds a pattern object only for a plan that is new and has instances.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.core.explanation import Explanation
 from repro.core.instance import ExplanationInstance
-from repro.core.isomorphism import DuplicateRegistry
-from repro.core.pattern import ExplanationPattern, PatternEdge, fresh_variable
+from repro.core.pattern import (
+    ExplanationPattern,
+    PatternEdge,
+    canonical_key_of,
+    fresh_variable,
+)
 from repro.errors import EnumerationError
 from repro.resilience.deadline import current_deadline
 
 __all__ = [
     "MergeStats",
+    "PathPostings",
     "merge_explanations",
     "path_union_basic",
     "path_union_prune",
@@ -48,7 +57,18 @@ __all__ = [
 
 @dataclass
 class MergeStats:
-    """Work counters exposed for the Figure 7 benchmark and the ablations."""
+    """Work counters exposed for the Figure 7 benchmark and the ablations.
+
+    ``merge_calls`` counts the (explanation, path) pairs a union visits.  The
+    union algorithms visit only the pairs that share an entity (the postings
+    join of :class:`PathPostings` finds no other), so a pair whose assignment
+    sets are disjoint is never counted there: over one enum-fresh pass of the
+    performance ledger that is 268,630 visits, where testing every pair made
+    315,655.  :func:`merge_explanations` counts every call.
+    ``mappings_tried`` counts the variable mappings of the visited pairs that
+    pass the size bound and the per-variable overlap masks; each that adds
+    an edge becomes a per-request merge plan (a plain tuple, ``_MergePlan``).
+    """
 
     merge_calls: int = 0
     mappings_tried: int = 0
@@ -68,14 +88,14 @@ class MergeStats:
         }
 
 
-#: One candidate merged pattern plus the bookkeeping to join instances, as a
-#: plain ``(pattern, matched, rename)`` tuple: the merged
-#: :class:`ExplanationPattern`, the ``(left variable, right variable)`` pairs
-#: sorted by left variable, and the right-variable -> merged-name mapping.
-#: A tuple rather than a dataclass because candidate generation sits on the
-#: union's hottest path (and the kernel re-emits cached candidates without
-#: constructing anything).
-_MergeCandidate = tuple
+#: One candidate merge as a plain ``(key, matched, added, new_edges)`` tuple:
+#: the merged pattern's canonical key, the ``(left variable, right variable)``
+#: pairs sorted by left variable, the ``(right variable, new name)`` pairs of
+#: the unmatched right variables, and the right edges the merge adds as
+#: ``(source, target, label, directed)`` tuples in the merged names.  A union
+#: builds the merged :class:`ExplanationPattern` only for a plan whose key is
+#: new and whose instance join is non-empty.
+_MergePlan = tuple
 
 
 # ---------------------------------------------------------------------------
@@ -86,74 +106,39 @@ _MergeCandidate = tuple
 # a (left, right) pair that survive the cheap pruning rules: the size limit
 # (through a minimum matched-pair count), assignment-set overlap of every
 # matched pair (a disjoint pair cannot produce a joined instance), and at
-# least one added edge.  Most (left, right) pairs yield nothing, so the
-# kernel
+# least one added edge.  The compatibility matrix is one bitmask per left
+# variable; the partial-mapping enumeration over those masks is a pure
+# function of a few small ints, memoised in ``_mapping_table``.
 #
-# 1. short-circuits pairs whose *overall* entity sets are disjoint (no
-#    variable pair can overlap) with a single frozenset probe;
-# 2. encodes the compatibility matrix as one bitmask per left variable and
-#    resolves the partial-mapping enumeration through a memoised table keyed
-#    on those masks — tiny domains (paths have at most three non-target
-#    variables), so the enumeration is almost always a dict hit;
-# 3. memoises the pattern-space half of a merge (variable renaming, fresh
-#    names, added edges, the merged pattern object) per
-#    ``(left pattern, right pattern, mapping)``: explanation *shapes* recur
-#    heavily, and the merged pattern for a shape pair is independent of the
-#    instances at hand.
-
-
-#: Pattern value -> integer token.  Tokens turn the merge-plan cache keys
-#: into int pairs: a pattern pays the (frozenset-hashing) intern lookup once
-#: per *object*, not once per merge call.  Tokens come from a monotone
-#: counter, so a token is globally unique for the life of the process:
-#: clearing the intern table (or the plan cache) at any moment — including
-#: while other serving threads are mid-union under the engine's read lock —
-#: can only cause cache misses, never key aliasing.  Minting is serialised
-#: by :data:`_MERGE_CACHE_LOCK`; everything else relies on the atomicity of
-#: individual dict operations plus the value-equality of rebuilt entries.
-_PATTERN_TOKENS: dict[ExplanationPattern, int] = {}
-_TOKEN_COUNTER = itertools.count()
-_MERGE_CACHE_LOCK = threading.Lock()
-
-
-def _pattern_token(pattern: ExplanationPattern) -> int:
-    cached = pattern.__dict__.get("_merge_token")
-    if cached is not None:
-        return cached
-    with _MERGE_CACHE_LOCK:
-        token = _PATTERN_TOKENS.get(pattern)
-        if token is None:
-            token = _PATTERN_TOKENS[pattern] = next(_TOKEN_COUNTER)
-    pattern.__dict__["_merge_token"] = token
-    return token
+# Most (left, path) pairs yield nothing, so a union never tests pairs one by
+# one: :class:`PathPostings` indexes every entity of the seed paths'
+# assignment sets once per union, and one pass over a left explanation's
+# assignment sets builds the masks of exactly the paths it shares an entity
+# with.  Everything a union builds lives in that one object and in its
+# output; nothing is kept between requests.
 
 
 def _merge_info(explanation: Explanation) -> tuple:
     """Per-explanation constants of the merge kernel, cached.
 
-    ``(sorted non-target variables, aligned assignment sets, right-edge
-    tuples, left-edge key set, pattern size, union of all assignment sets,
-    pattern token)``.
+    ``(sorted non-target variables, aligned assignment sets, edge tuples,
+    edge key set, variable set, sorted edge keys)``.
     """
     info = explanation.__dict__.get("_merge_info")
     if info is None:
         pattern = explanation.pattern
-        variables = sorted(pattern.non_target_variables)
-        assignment_sets = [explanation.assignments(variable) for variable in variables]
-        all_entities = (
-            frozenset().union(*assignment_sets) if assignment_sets else frozenset()
-        )
+        variables = tuple(sorted(pattern.non_target_variables))
+        edge_keys = tuple(sorted(edge.key() for edge in pattern.edges))
         info = (
-            tuple(variables),
-            tuple(assignment_sets),
+            variables,
+            tuple(explanation.assignments(variable) for variable in variables),
             tuple(
                 (edge.source, edge.target, edge.label, edge.directed)
                 for edge in pattern.edges
             ),
-            {edge.key() for edge in pattern.edges},
-            pattern.num_nodes,
-            all_entities,
-            _pattern_token(pattern),
+            frozenset(edge_keys),
+            pattern.variables,
+            edge_keys,
         )
         explanation.__dict__["_merge_info"] = info
     return info
@@ -194,167 +179,99 @@ def _mapping_table(
     return tuple(results)
 
 
-#: (left pattern, right pattern) -> {mapping index pairs -> (merged pattern |
-#: None, rename, mapping names)}.  Pattern-space only, so safe to share
-#: across pairs and requests; two-level so the (comparatively expensive)
-#: pattern-pair key is hashed once per merge call, not once per mapping.
-#: Cleared wholesale when it outgrows its cap.
-_MERGE_PLAN_CACHE: dict[tuple, dict] = {}
-_MERGE_PLAN_CACHE_CAP = 1 << 15
+def _merge_plan(
+    left_info: tuple, right_info: tuple, index_pairs: tuple[tuple[int, int], ...]
+) -> _MergePlan | None:
+    """The pattern-space half of one merge candidate, or ``None``.
 
-
-def _build_merge_plan(
-    left_pattern: ExplanationPattern,
-    right_sorted_vars: tuple[str, ...],
-    right_edge_tuples: tuple,
-    left_edge_keys: set,
-    mapping_names: tuple[tuple[str, str], ...],
-) -> tuple[ExplanationPattern | None, dict[str, str]]:
-    """The pattern-space half of one merge candidate.
-
-    Matched right variables take the left name; unmatched ones receive fresh
-    names that cannot collide with the left pattern's variables.
+    Matched right variables take the left name; unmatched ones receive the
+    lowest fresh names that are not left variables, in sorted order.  A
+    mapping that adds no edge reproduces the left pattern and yields
+    ``None``.
     """
-    left_variables = left_pattern.variables
-    reverse = {right_name: left_name for left_name, right_name in mapping_names}
-    if len(mapping_names) == len(right_sorted_vars):
-        rename = reverse
-    else:
-        fresh_names: list[str] = []
-        next_fresh = 0
-        while len(fresh_names) < len(right_sorted_vars):
-            name = fresh_variable(next_fresh)
-            if name not in left_variables:
-                fresh_names.append(name)
+    left_vars, _, _, left_edge_keys, left_variables, left_sorted_keys = left_info
+    right_vars, _, right_edges, _, _, _ = right_info
+    rename = {right_vars[j]: left_vars[i] for i, j in index_pairs}
+    matched = tuple((left_vars[i], right_vars[j]) for i, j in index_pairs)
+    added: list[tuple[str, str]] = []
+    next_fresh = 0
+    for variable in right_vars:
+        if variable in rename:
+            continue
+        name = fresh_variable(next_fresh)
+        while name in left_variables:
             next_fresh += 1
-        rename = {}
-        fresh_iter = iter(fresh_names)
-        for variable in right_sorted_vars:
-            mapped = reverse.get(variable)
-            rename[variable] = mapped if mapped is not None else next(fresh_iter)
-    new_edges: list[PatternEdge] = []
-    for source, target, label, directed in right_edge_tuples:
-        renamed_source = rename.get(source, source)
-        renamed_target = rename.get(target, target)
-        if directed or renamed_source <= renamed_target:
-            key = (renamed_source, renamed_target, label, directed)
+            name = fresh_variable(next_fresh)
+        next_fresh += 1
+        rename[variable] = name
+        added.append((variable, name))
+    new_edges: list[tuple[str, str, str, bool]] = []
+    new_keys: list[tuple[str, str, str, bool]] = []
+    for source, target, label, directed in right_edges:
+        source = rename.get(source, source)
+        target = rename.get(target, target)
+        if directed or source <= target:
+            key = (source, target, label, directed)
         else:
-            key = (renamed_target, renamed_source, label, directed)
+            key = (target, source, label, directed)
         if key in left_edge_keys:
             continue
-        new_edges.append(PatternEdge(renamed_source, renamed_target, label, directed))
+        new_edges.append((source, target, label, directed))
+        new_keys.append(key)
     if not new_edges:
-        # A merge that adds no edge reproduces the left pattern and would
-        # only create duplicate work downstream.
-        return (None, rename)
-    merged = ExplanationPattern._trusted(
-        left_variables | frozenset(rename.values()),
-        left_pattern.edges | frozenset(new_edges),
+        return None
+    canonical_key = canonical_key_of(
+        tuple(sorted((*left_variables, *(name for _, name in added)))),
+        tuple(sorted((*left_sorted_keys, *new_keys))),
     )
-    return (merged, rename)
+    return (canonical_key, matched, tuple(added), tuple(new_edges))
 
 
 def _merge_candidates(
-    left: Explanation,
-    right: Explanation,
-    size_limit: int,
-    stats: MergeStats | None = None,
-    left_info: tuple | None = None,
-    right_info: tuple | None = None,
-) -> list[_MergeCandidate]:
-    """Enumerate merged patterns of ``left`` and ``right`` worth joining.
+    left_info: tuple,
+    right_info: tuple,
+    masks: tuple[int, ...],
+    min_matched: int,
+    max_matched: int,
+    stats: MergeStats | None,
+) -> list[_MergePlan]:
+    """The merge plans of one (left, right) pair with these overlap masks.
 
-    The union loops hoist ``left_info``/``right_info`` (see :func:`_merge_info`)
-    and the overall-disjointness skip out of this call; when invoked directly
-    both are derived here.
+    Callers check the size bound (``min_matched`` ≤ ``max_matched``) and
+    that at least ``max(min_matched, 1)`` masks are non-empty first, so the
+    mapping enumeration runs only on pairs that can yield a mapping.
     """
-    if stats is not None:
-        stats.merge_calls += 1
-    if left_info is None:
-        left_info = _merge_info(left)
-    if right_info is None:
-        right_info = _merge_info(right)
-    left_vars, left_sets, _, left_edge_keys, left_size, left_all, left_token = left_info
-    right_vars, right_sets, right_edges, _, _, right_all, right_token = right_info
-    right_non_target = len(right_vars)
-    left_count = len(left_vars)
-    max_matched = left_count if left_count < right_non_target else right_non_target
-    min_matched = left_size + right_non_target - size_limit
-    if max_matched == 0 or min_matched > max_matched:
-        return []
-    if left_all.isdisjoint(right_all):
-        return []
-    needed = min_matched if min_matched > 1 else 1
-    masks: list[int] = []
-    nonempty = 0
-    remaining = len(left_sets)
-    for left_set in left_sets:
-        mask = 0
-        bit = 1
-        for right_set in right_sets:
-            if not left_set.isdisjoint(right_set):
-                mask |= bit
-            bit <<= 1
-        masks.append(mask)
-        if mask:
-            nonempty += 1
-        remaining -= 1
-        if nonempty + remaining < needed:
-            return []
-    mappings = _mapping_table(tuple(masks), right_non_target, min_matched, max_matched)
+    mappings = _mapping_table(masks, len(right_info[0]), min_matched, max_matched)
     if not mappings:
         return []
-    pair_key = (left_token, right_token)
-    pair_plans = _MERGE_PLAN_CACHE.get(pair_key)
-    if pair_plans is None:
-        pair_plans = _MERGE_PLAN_CACHE[pair_key] = {}
     if stats is not None:
         stats.mappings_tried += len(mappings)
-    candidates: list[_MergeCandidate] = []
+    plans: list[_MergePlan] = []
     for index_pairs in mappings:
-        plan = pair_plans.get(index_pairs)
-        if plan is None:
-            mapping_names = tuple(
-                (left_vars[left_index], right_vars[right_index])
-                for left_index, right_index in index_pairs
-            )
-            merged_pattern, rename = _build_merge_plan(
-                left.pattern, right_vars, right_edges, left_edge_keys, mapping_names
-            )
-            plan = pair_plans[index_pairs] = (
-                (merged_pattern, mapping_names, rename)
-                if merged_pattern is not None
-                else None
-            )
+        plan = _merge_plan(left_info, right_info, index_pairs)
         if plan is not None:
-            candidates.append(plan)
-    return candidates
+            plans.append(plan)
+    return plans
 
 
-def _maybe_trim_merge_caches() -> None:
-    """Entry-point cap check for the merge kernel's shared caches.
-
-    Safe to run while other threads are mid-union: tokens are never reused
-    (monotone counter), so dropping intern or plan entries can only force a
-    rebuild under a fresh — still unique — token, never an aliased hit.  A
-    concurrent union holding a reference to a dropped inner plan dict keeps
-    filling its (now orphaned) dict and stays correct.
-    """
-    with _MERGE_CACHE_LOCK:
-        if len(_MERGE_PLAN_CACHE) > _MERGE_PLAN_CACHE_CAP:
-            _MERGE_PLAN_CACHE.clear()
-        if len(_PATTERN_TOKENS) > _MERGE_PLAN_CACHE_CAP:
-            _PATTERN_TOKENS.clear()
+def _merged_pattern(left: Explanation, plan: _MergePlan) -> ExplanationPattern:
+    """Build the merged pattern of ``plan``, its canonical key already set."""
+    pattern = left.pattern
+    return ExplanationPattern._trusted(
+        pattern.variables | {name for _, name in plan[2]},
+        pattern.edges | {PatternEdge(*edge) for edge in plan[3]},
+        plan[0],
+    )
 
 
 def _join_instances(
     left: Explanation,
     right: Explanation,
-    candidate: _MergeCandidate,
+    plan: _MergePlan,
     stats: MergeStats | None = None,
     index_cache: dict | None = None,
 ) -> list[ExplanationInstance]:
-    """Hash-join the instance sets of ``left`` and ``right`` for a candidate.
+    """Hash-join the instance sets of ``left`` and ``right`` for a plan.
 
     Instances agree on every matched variable pair and the result must remain
     injective (instances are subgraphs), so unmatched variables from the two
@@ -367,15 +284,14 @@ def _join_instances(
     """
     if stats is not None:
         stats.instance_joins += 1
-    _, matched, rename = candidate
+    _, matched, added, _ = plan
     matched_left = [pair[0] for pair in matched]
-    matched_right = [pair[1] for pair in matched]
-    only_left = sorted(left.pattern.non_target_variables - set(matched_left))
-    only_right = sorted(
-        right.pattern.non_target_variables - set(matched_right)
-    )
+    matched_right = tuple(pair[1] for pair in matched)
+    only_left = [
+        variable for variable in _merge_info(left)[0] if variable not in matched_left
+    ]
 
-    cache_key = (id(right), tuple(matched_right))
+    cache_key = (id(right), matched_right)
     right_index: dict[tuple[str, ...], list[ExplanationInstance]] | None = (
         index_cache.get(cache_key) if index_cache is not None else None
     )
@@ -398,12 +314,12 @@ def _join_instances(
         for right_instance in partners:
             conflict = False
             additions: dict[str, str] = {}
-            for variable in only_right:
+            for variable, name in added:
                 entity = right_instance[variable]
                 if entity in left_only_entities:
                     conflict = True
                     break
-                additions[rename[variable]] = entity
+                additions[name] = entity
             if conflict:
                 continue
             if len(set(additions.values())) != len(additions):
@@ -433,16 +349,170 @@ def merge_explanations(
         least one instance.  Instances are derived from the input instances
         (no knowledge-base evaluation happens here).
     """
-    _maybe_trim_merge_caches()
+    if stats is not None:
+        stats.merge_calls += 1
+    left_info = _merge_info(left)
+    right_info = _merge_info(right)
+    right_sets = right_info[1]
+    masks = tuple(
+        sum(
+            1 << j
+            for j, right_set in enumerate(right_sets)
+            if not left_set.isdisjoint(right_set)
+        )
+        for left_set in left_info[1]
+    )
+    max_matched = min(len(masks), len(right_sets))
+    min_matched = len(left_info[4]) + len(right_sets) - size_limit
+    nonempty = len(masks) - masks.count(0)
+    if max_matched == 0 or min_matched > max_matched or nonempty < max(min_matched, 1):
+        return []
     results: list[Explanation] = []
-    for candidate in _merge_candidates(left, right, size_limit, stats):
-        instances = _join_instances(left, right, candidate, stats)
+    for plan in _merge_candidates(
+        left_info, right_info, masks, min_matched, max_matched, stats
+    ):
+        instances = _join_instances(left, right, plan, stats)
         if not instances:
             continue
-        results.append(Explanation(candidate[0], instances))
+        results.append(Explanation(_merged_pattern(left, plan), instances))
         if stats is not None:
             stats.explanations_produced += 1
     return results
+
+
+class PathPostings:
+    """One union's index of its seed paths: the postings join.
+
+    Every entity of an eligible seed path's assignment sets maps to the
+    ``(path, variable bit)`` pairs that hold it, packed as one int per pair.
+    :meth:`overlap_masks` builds, in one pass over a left explanation's
+    assignment sets, the overlap masks of every path that shares an entity
+    with it: the associative-array join of D4M over entity keys.  The object
+    also holds the union's join indexes, so all a union keeps lives here and
+    dies with the request.
+
+    Args:
+        path_explanations: the seed paths, addressed by their list index.
+        size_limit: maximum number of pattern variables; longer seeds are
+            not indexed.
+    """
+
+    def __init__(self, path_explanations: list[Explanation], size_limit: int) -> None:
+        self.paths = path_explanations
+        self.size_limit = size_limit
+        self._infos: list[tuple | None] = [None] * len(path_explanations)
+        eligible: list[int] = []
+        for index, path in enumerate(path_explanations):
+            if path.pattern.num_nodes <= size_limit:
+                self._infos[index] = _merge_info(path)
+                eligible.append(index)
+        # Codes are ``path_index << shift | variable``: wide enough for the
+        # longest indexed path's non-target variables.
+        widest = max((len(self._infos[index][0]) for index in eligible), default=1)
+        self._shift = shift = max(widest - 1, 1).bit_length()
+        postings: dict[str, list[int]] = {}
+        for index in eligible:
+            for bit, assignment_set in enumerate(self._infos[index][1]):
+                code = index << shift | bit
+                for entity in assignment_set:
+                    posting = postings.get(entity)
+                    if posting is None:
+                        postings[entity] = [code]
+                    else:
+                        posting.append(code)
+        self._postings = postings
+        self._join_indexes: dict = {}
+
+    def overlap_masks(self, left: Explanation) -> dict[int, list[int]]:
+        """Path index -> overlap masks, for every path sharing an entity with ``left``.
+
+        ``masks[i]`` has bit ``j`` set when the ``i``-th non-target variable
+        of ``left`` and the ``j``-th of the path (both sorted) share an
+        entity.  One pass over ``left``'s assignment sets builds them all.
+        """
+        left_sets = _merge_info(left)[1]
+        shift = self._shift
+        low_bits = (1 << shift) - 1
+        postings_get = self._postings.get
+        rows: dict[int, list[int]] = {}
+        for position, left_set in enumerate(left_sets):
+            for code in set().union(*map(postings_get, left_set, itertools.repeat(()))):
+                path_index = code >> shift
+                row = rows.get(path_index)
+                if row is None:
+                    row = rows[path_index] = [0] * len(left_sets)
+                row[position] |= 1 << (code & low_bits)
+        return rows
+
+    def plans(
+        self,
+        left: Explanation,
+        stats: MergeStats,
+        allowed: set[int] | None = None,
+    ):
+        """Yield ``(path_index, plan)`` for every merge plan of ``left``.
+
+        Visits, in ascending path index, the indexed paths that share an
+        entity with ``left`` (and lie in ``allowed``, when given); each
+        visit is one ``merge_calls``.
+        """
+        left_info = _merge_info(left)
+        left_count = len(left_info[0])
+        rows = self.overlap_masks(left)
+        visit = rows.keys() if allowed is None else rows.keys() & allowed
+        deadline = current_deadline()
+        infos = self._infos
+        # The size bound: a merged pattern keeps the left variables and adds
+        # every unmatched right one, so it needs this many matched pairs.
+        slack = len(left_info[4]) - self.size_limit
+        for path_index in sorted(visit):
+            if deadline is not None:
+                deadline.tick()
+            stats.merge_calls += 1
+            right_info = infos[path_index]
+            right_count = len(right_info[0])
+            min_matched = slack + right_count
+            max_matched = left_count if left_count < right_count else right_count
+            if min_matched > max_matched:
+                continue
+            masks = rows[path_index]
+            # Every visited path shares an entity, so one mask is non-empty.
+            if min_matched > 1 and left_count - masks.count(0) < min_matched:
+                continue
+            for plan in _merge_candidates(
+                left_info, right_info, tuple(masks), min_matched, max_matched, stats
+            ):
+                yield path_index, plan
+
+    def join(
+        self,
+        left: Explanation,
+        path_index: int,
+        plan: _MergePlan,
+        stats: MergeStats,
+    ) -> Explanation | None:
+        """The merged explanation of ``plan``, or ``None`` when no instance joins."""
+        instances = _join_instances(
+            left, self.paths[path_index], plan, stats, self._join_indexes
+        )
+        if not instances:
+            return None
+        stats.explanations_produced += 1
+        return Explanation(_merged_pattern(left, plan), instances)
+
+    def merge(self, left: Explanation, stats: MergeStats) -> list[Explanation]:
+        """Every merge of ``left`` with an indexed path that has an instance.
+
+        The pairwise :func:`merge_explanations` over all seed paths, in the
+        same order, through the postings join.  The anti-monotonic top-k
+        ranker expands its explanations with it.
+        """
+        merged: list[Explanation] = []
+        for path_index, plan in self.plans(left, stats):
+            explanation = self.join(left, path_index, plan, stats)
+            if explanation is not None:
+                merged.append(explanation)
+        return merged
 
 
 def _validate_inputs(path_explanations: list[Explanation], size_limit: int) -> None:
@@ -453,6 +523,19 @@ def _validate_inputs(path_explanations: list[Explanation], size_limit: int) -> N
             raise EnumerationError(
                 "path_union expects path explanations as seeds; got a non-path pattern"
             )
+
+
+def _distinct_seeds(
+    path_explanations: list[Explanation], size_limit: int, seen: set[tuple]
+) -> list[Explanation]:
+    """The seed paths within the size limit, one per canonical key."""
+    seeds: list[Explanation] = []
+    for explanation in path_explanations:
+        pattern = explanation.pattern
+        if pattern.num_nodes <= size_limit and pattern.canonical_key not in seen:
+            seen.add(pattern.canonical_key)
+            seeds.append(explanation)
+    return seeds
 
 
 def path_union_basic(
@@ -474,54 +557,24 @@ def path_union_basic(
     """
     _validate_inputs(path_explanations, size_limit)
     stats = stats if stats is not None else MergeStats()
-    _maybe_trim_merge_caches()
+    seen: set[tuple] = set()
+    results = _distinct_seeds(path_explanations, size_limit, seen)
+    postings = PathPostings(path_explanations, size_limit)
 
-    results: list[Explanation] = []
-    registry = DuplicateRegistry()
-    for explanation in path_explanations:
-        if explanation.pattern.num_nodes <= size_limit and registry.add(explanation.pattern):
-            results.append(explanation)
-
-    # Hoisted per-path constants: size eligibility and the merge infos
-    # driving the pair-level disjointness skip.
-    eligible: list[tuple[Explanation, tuple]] = [
-        (path_explanation, _merge_info(path_explanation))
-        for path_explanation in path_explanations
-        if path_explanation.pattern.num_nodes <= size_limit
-    ]
-
-    join_index_cache: dict = {}
-    deadline = current_deadline()
     expand_queue = list(results)
     while expand_queue:
         stats.rounds += 1
         new_round: list[Explanation] = []
         for explanation in expand_queue:
-            left_info = _merge_info(explanation)
-            for path_explanation, right_info in eligible:
-                if deadline is not None:
-                    deadline.tick()
-                if left_info[5].isdisjoint(right_info[5]):
-                    # No variable pair can share an entity: the merge cannot
-                    # produce a joinable candidate, so skip the kernel call.
-                    stats.merge_calls += 1
+            for path_index, plan in postings.plans(explanation, stats):
+                if plan[0] in seen:
+                    stats.duplicates_discarded += 1
                     continue
-                for candidate in _merge_candidates(
-                    explanation, path_explanation, size_limit, stats,
-                    left_info, right_info,
-                ):
-                    if candidate[0] in registry:
-                        stats.duplicates_discarded += 1
-                        continue
-                    instances = _join_instances(
-                        explanation, path_explanation, candidate, stats, join_index_cache
-                    )
-                    if not instances:
-                        continue
-                    registry.add(candidate[0])
-                    merged = Explanation(candidate[0], instances)
-                    stats.explanations_produced += 1
-                    new_round.append(merged)
+                merged = postings.join(explanation, path_index, plan, stats)
+                if merged is None:
+                    continue
+                seen.add(plan[0])
+                new_round.append(merged)
         results.extend(new_round)
         expand_queue = new_round
     return results
@@ -546,29 +599,12 @@ def path_union_prune(
     """
     _validate_inputs(path_explanations, size_limit)
     stats = stats if stats is not None else MergeStats()
-    _maybe_trim_merge_caches()
+    seen: set[tuple] = set()
+    seeds = _distinct_seeds(path_explanations, size_limit, seen)
+    results = list(seeds)
+    postings = PathPostings(path_explanations, size_limit)
 
-    results: list[Explanation] = []
-    registry = DuplicateRegistry()
-    seeds: list[Explanation] = []
-    for explanation in path_explanations:
-        if explanation.pattern.num_nodes <= size_limit and registry.add(explanation.pattern):
-            seeds.append(explanation)
-    results.extend(seeds)
-
-    # Hoisted per-path constants (see path_union_basic).
-    path_ok = [
-        path_explanation.pattern.num_nodes <= size_limit
-        for path_explanation in path_explanations
-    ]
-    path_infos = [
-        _merge_info(path_explanation) if ok else None
-        for path_explanation, ok in zip(path_explanations, path_ok)
-    ]
-
-    join_index_cache: dict = {}
-    deadline = current_deadline()
-    expand_queue: list[Explanation] = list(seeds)
+    expand_queue: list[Explanation] = seeds
     expand_history: list[list[tuple[int, int]]] = [[] for _ in seeds]
     first_round = True
 
@@ -588,52 +624,31 @@ def path_union_prune(
                     paths_by_parent.setdefault(parent, set()).add(path_index)
 
         for index_left, explanation in enumerate(expand_queue):
-            if first_round:
-                candidate_paths = set(range(len(path_explanations)))
-            else:
+            candidate_paths: set[int] | None = None
+            if not first_round:
                 candidate_paths = set()
                 for parent, _ in expand_history[index_left]:
                     candidate_paths.update(paths_by_parent.get(parent, ()))
 
-            left_info = _merge_info(explanation)
-            for path_index in sorted(candidate_paths):
-                if deadline is not None:
-                    deadline.tick()
-                if not path_ok[path_index]:
+            for path_index, plan in postings.plans(explanation, stats, candidate_paths):
+                key = plan[0]
+                if key in seen:
+                    stats.duplicates_discarded += 1
+                    # Still extend the composition history of a duplicate
+                    # produced earlier in this round, as Algorithm 4 does:
+                    # the history drives the next round's pruning.
+                    if key in new_index_by_key:
+                        new_history[new_index_by_key[key]].append(
+                            (index_left, path_index)
+                        )
                     continue
-                path_explanation = path_explanations[path_index]
-                right_info = path_infos[path_index]
-                if left_info[5].isdisjoint(right_info[5]):
-                    # Entity-disjoint pair: no joinable candidate can exist.
-                    stats.merge_calls += 1
+                merged = postings.join(explanation, path_index, plan, stats)
+                if merged is None:
                     continue
-                for candidate in _merge_candidates(
-                    explanation, path_explanation, size_limit, stats,
-                    left_info, right_info,
-                ):
-                    candidate_pattern = candidate[0]
-                    key = candidate_pattern.canonical_key
-                    if candidate_pattern in registry:
-                        stats.duplicates_discarded += 1
-                        # Still extend the composition history of a duplicate
-                        # produced earlier in this round, as Algorithm 4 does:
-                        # the history drives the next round's pruning.
-                        if key in new_index_by_key:
-                            new_history[new_index_by_key[key]].append(
-                                (index_left, path_index)
-                            )
-                        continue
-                    instances = _join_instances(
-                        explanation, path_explanation, candidate, stats, join_index_cache
-                    )
-                    if not instances:
-                        continue
-                    registry.add(candidate_pattern)
-                    merged = Explanation(candidate_pattern, instances)
-                    stats.explanations_produced += 1
-                    new_round.append(merged)
-                    new_history.append([(index_left, path_index)])
-                    new_index_by_key[key] = len(new_round) - 1
+                seen.add(key)
+                new_round.append(merged)
+                new_history.append([(index_left, path_index)])
+                new_index_by_key[key] = len(new_round) - 1
 
         results.extend(new_round)
         expand_queue = new_round

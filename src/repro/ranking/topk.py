@@ -19,7 +19,7 @@ from repro.core.explanation import Explanation
 from repro.core.isomorphism import DuplicateRegistry
 from repro.enumeration.framework import DEFAULT_SIZE_LIMIT
 from repro.enumeration.path_enum import PATH_ENUM_ALGORITHMS
-from repro.enumeration.path_union import MergeStats, merge_explanations
+from repro.enumeration.path_union import MergeStats, PathPostings
 from repro.errors import RankingError
 from repro.kb.graph import KnowledgeBase
 from repro.measures.base import Measure
@@ -67,6 +67,7 @@ def rank_topk_anti_monotonic(
         if explanation.pattern.num_nodes <= size_limit
     ]
 
+    postings = PathPostings(path_explanations, size_limit)
     registry = DuplicateRegistry()
     merge_stats = MergeStats()
     scored: list[RankedExplanation] = []
@@ -103,11 +104,8 @@ def rank_topk_anti_monotonic(
             break
         for explanation in expandable:
             expanded_keys.add(explanation.pattern.canonical_key)
-            for path_explanation in path_explanations:
-                for merged in merge_explanations(
-                    explanation, path_explanation, size_limit, merge_stats
-                ):
-                    add_candidate(merged)
+            for merged in postings.merge(explanation, merge_stats):
+                add_candidate(merged)
 
     return RankingResult(
         ranked=scored[:k],

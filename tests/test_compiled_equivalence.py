@@ -21,7 +21,8 @@ those kernels to oracles that read only the plain KB's own API, over seeded
 The facade on a plain KB ranks exactly as on a separately compiled view,
 under every served measure.  Worker replicas restored from snapshots, the
 serving engine, and the pickle hygiene of the merge kernel's caches are
-checked against the plain facade.
+checked against the plain facade, and answers must not depend on the order
+in which one process was asked for them.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from test_indexed_equivalence import reference_matches
 from repro import Rex
 from repro.core.matcher import match_pattern
 from repro.core.pattern import END, START
+from repro.datasets.entertainment import small_entertainment_kb
 from repro.enumeration.framework import enumerate_explanations
 from repro.enumeration.naive import naive_enum
 from repro.errors import RexError
@@ -461,10 +463,11 @@ class TestRankingEquivalence:
 
 class TestPickleHygiene:
     def test_merge_kernel_caches_never_cross_the_process_boundary(self, workload):
-        """Explanations produced by the union carry per-process merge caches
-        (including pattern tokens minted by a process-local counter);
-        pickling — what the executor's result path does — must strip them
-        while preserving the explanation value."""
+        """Explanations produced by the union carry the merge kernel's
+        per-explanation constants, assignment sets included; pickling — what
+        the executor's result path does — must strip those bulky caches
+        while preserving the explanation value.  The canonical key the union
+        sets on every merged pattern is value-derived and travels along."""
         kb, seed = workload
         pairs = _connected_pairs(kb, seed, 1)
         v_start, v_end = pairs[0]
@@ -478,9 +481,36 @@ class TestPickleHygiene:
         for original, copy in zip(explanations, restored):
             assert "_merge_info" not in copy.__dict__
             assert "_assignment_cache" not in copy.__dict__
-            assert "_merge_token" not in copy.pattern.__dict__
             assert copy.pattern == original.pattern
+            assert copy.pattern.__dict__.get("canonical_key") == (
+                original.pattern.__dict__.get("canonical_key")
+            )
+            assert copy.pattern.canonical_key == original.pattern.canonical_key
             assert copy.instances == original.instances
+
+
+class TestHistoryIndependence:
+    @pytest.mark.parametrize("kind", [kind for kind, _ in WORKLOADS] + ["entertainment"])
+    def test_answers_do_not_depend_on_request_order(self, kind):
+        """One process answers the same pairs forward, then in reverse: the
+        union keeps no state between requests, so every answer renders
+        identically whichever requests came before it."""
+        if kind == "entertainment":
+            kb, seed = small_entertainment_kb(), 0
+        else:
+            kb, seed = dict(WORKLOADS)[kind](0), 0
+        pairs = _connected_pairs(kb, seed, 6)
+        rex = Rex(kb, size_limit=5)
+
+        def answers(order):
+            return {
+                pair: _render_ranked(rex.explain(*pair, measure="size+monocount", k=5))
+                for pair in order
+            }
+
+        forward = answers(pairs)
+        assert any(answer != "[]" for answer in forward.values())
+        assert answers(pairs[::-1]) == forward
 
 
 class TestReplicaAndServingEquivalence:
